@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
+.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-perfbench check vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
 
 all: build vet test
 
-check: build vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
+check: build vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-perfbench fuzz-smoke bench-gate-quick
 
 build:
 	$(GO) build ./...
@@ -37,10 +37,18 @@ test-chaos:
 # The pooldebug build tag arms the workspace arena's misuse detectors
 # (double-release ledger, released-slab poisoning); run every pooled
 # kernel's tests under it so ownership bugs fail loudly. The root package
-# rides along for the cancellation-unwind suite: an abort must release
-# every slab exactly once.
+# rides along for the fault-injection suite: an abort or a panic must
+# release every slab exactly once. internal/pram owns the workspace scope
+# that performs those releases.
 test-pooldebug:
-	$(GO) test -tags pooldebug . ./internal/pool ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/serve ./internal/cluster
+	$(GO) test -tags pooldebug . ./internal/pool ./internal/pram ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/hufpar ./internal/obst ./internal/serve ./internal/cluster
+
+# perfbench is its own module (it imports internal packages through a
+# replace directive), so ./... at the root does not reach it; build and
+# self-test it here so an internal API change cannot silently break the
+# benchmark.
+test-perfbench:
+	$(GO) -C perfbench test ./...
 
 # Observability suite: the span ring and Chrome-trace export, the PRAM
 # phase/worker span accounting (including the disarmed zero-alloc bar),

@@ -47,10 +47,8 @@ type HuffmanBatchResult struct {
 // parallel statement on one machine, each with the sequential O(n log n)
 // oracle. Results are positionally aligned with jobs.
 func HuffmanBatch(jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := huffmanBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := HuffmanBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // HuffmanBatchContext is HuffmanBatch under a context: cancelling ctx
@@ -58,14 +56,7 @@ func HuffmanBatch(jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stat
 // returns (nil, Stats, ctx.Err()). Jobs that already ran are discarded —
 // a batch is one statement, not a resumable stream.
 func HuffmanBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []HuffmanBatchResult
-	err := m.Run(func() { out = huffmanBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) []HuffmanBatchResult { return huffmanBatchOn(m, jobs) })
 }
 
 func huffmanBatchOn(m *pram.Machine, jobs [][]float64) []HuffmanBatchResult {
@@ -114,23 +105,14 @@ type ShannonFanoBatchResult struct {
 // entry of every job must lie in (0,1]; violating jobs get a per-job Err
 // rather than poisoning the batch.
 func ShannonFanoBatch(jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := shannonFanoBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := ShannonFanoBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // ShannonFanoBatchContext is ShannonFanoBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func ShannonFanoBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []ShannonFanoBatchResult
-	err := m.Run(func() { out = shannonFanoBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) []ShannonFanoBatchResult { return shannonFanoBatchOn(m, jobs) })
 }
 
 func shannonFanoBatchOn(m *pram.Machine, jobs [][]float64) []ShannonFanoBatchResult {
@@ -183,23 +165,14 @@ type PatternBatchResult struct {
 // in one parallel statement, each with the sequential greedy packing
 // oracle.
 func TreeFromDepthsBatch(jobs [][]int, opts ...Options) ([]PatternBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := treeFromDepthsBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := TreeFromDepthsBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // TreeFromDepthsBatchContext is TreeFromDepthsBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func TreeFromDepthsBatchContext(ctx context.Context, jobs [][]int, opts ...Options) ([]PatternBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []PatternBatchResult
-	err := m.Run(func() { out = treeFromDepthsBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) []PatternBatchResult { return treeFromDepthsBatchOn(m, jobs) })
 }
 
 func treeFromDepthsBatchOn(m *pram.Machine, jobs [][]int) []PatternBatchResult {
@@ -231,23 +204,14 @@ type BSTBatchResult struct {
 // parallel statement, each with Knuth's exact O(n²) dynamic program.
 // Instances must come from NewBSTInstance.
 func OptimalBSTBatch(jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := optimalBSTBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := OptimalBSTBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // OptimalBSTBatchContext is OptimalBSTBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func OptimalBSTBatchContext(ctx context.Context, jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []BSTBatchResult
-	err := m.Run(func() { out = optimalBSTBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) []BSTBatchResult { return optimalBSTBatchOn(m, jobs) })
 }
 
 func optimalBSTBatchOn(m *pram.Machine, jobs []*BSTInstance) []BSTBatchResult {
@@ -277,23 +241,14 @@ type LinCFLBatchJob struct {
 // statement, each with the quadratic sequential dynamic program. Jobs may
 // mix grammars freely.
 func RecognizeLinearBatch(jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := recognizeLinearBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := RecognizeLinearBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // RecognizeLinearBatchContext is RecognizeLinearBatch under a context;
 // see HuffmanBatchContext for the cancellation contract.
 func RecognizeLinearBatchContext(ctx context.Context, jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []bool
-	err := m.Run(func() { out = recognizeLinearBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) []bool { return recognizeLinearBatchOn(m, jobs) })
 }
 
 func recognizeLinearBatchOn(m *pram.Machine, jobs []LinCFLBatchJob) []bool {

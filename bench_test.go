@@ -440,7 +440,7 @@ func BenchmarkAblationBoolMM(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			boolmat.Mul(x, y)
+			boolmat.Mul(nil, x, y)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {

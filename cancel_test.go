@@ -36,13 +36,74 @@ func cancelAt(t *testing.T, point string, nth int) context.Context {
 	return ctx
 }
 
-// checkAborted asserts the fault-injected call unwound with
-// context.Canceled and handed every pooled slab back to the arena:
-// the arena's get/put deltas across the call must match exactly.
-func checkAborted(t *testing.T, before pool.Stats, err error) {
+// faultArm is one way an injected fault unwinds a call: the hook at
+// point cancels the call's context on its nth hit (1-based), or panics
+// there the way an engine bug would. Both must leave the pool ledger
+// balanced. A panic arm is only a real test where pooled workspaces are
+// live at its site: early recursion points fire before anything is
+// allocated, so some panic arms sit later than their cancel twins (a
+// cancel arm aborts at the next checkpoint, after the point).
+type faultArm struct {
+	name  string
+	point string
+	nth   int
+}
+
+// bothArms returns the cancel and panic arms at one site.
+func bothArms(point string, nth int) []faultArm {
+	return []faultArm{{"cancel", point, nth}, {"panic", point, nth}}
+}
+
+// injectedFault is the value the panic arm's hook panics with.
+const injectedFault = "injected fault"
+
+// errPanicked stands in for the error of a call that unwound with the
+// injected panic (see faulted).
+var errPanicked = errors.New("call panicked with the injected fault")
+
+// injectAt installs arm's hook and returns the context to pass to the
+// call.
+func injectAt(t *testing.T, arm faultArm) context.Context {
 	t.Helper()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if arm.name == "cancel" {
+		return cancelAt(t, arm.point, arm.nth)
+	}
+	var hits atomic.Int64
+	faultpoint.Set(arm.point, func(...any) {
+		if hits.Add(1) == int64(arm.nth) {
+			panic(injectedFault)
+		}
+	})
+	t.Cleanup(faultpoint.Reset)
+	return context.Background()
+}
+
+// faulted runs call, turning the injected panic, once it has reached
+// this goroutine, into errPanicked. Any other panic propagates.
+func faulted(call func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != injectedFault {
+				panic(r)
+			}
+			err = errPanicked
+		}
+	}()
+	return call()
+}
+
+// checkAborted asserts the fault-injected call unwound the way its arm
+// says — context.Canceled, or the injected panic reaching the caller —
+// and handed every pooled slab back to the arena: the arena's get/put
+// deltas across the call must match exactly.
+func checkAborted(t *testing.T, arm faultArm, before pool.Stats, err error) {
+	t.Helper()
+	want := context.Canceled
+	if arm.name == "panic" {
+		want = errPanicked
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
 	}
 	after := pool.Snapshot()
 	if dg, dp := after.Gets-before.Gets, after.Puts-before.Puts; dg != dp {
@@ -91,31 +152,56 @@ func concaveMat(r, c int) [][]float64 {
 // --- per-kernel-family fault injection ---
 
 func TestFaultInjectionHuffmanParallel(t *testing.T) {
-	for _, point := range []string{"hufpar.height.level", "hufpar.spine.level", "monge.cutpar.level"} {
-		t.Run(point, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			ctx := cancelAt(t, point, 2)
-			before := pool.Snapshot()
-			res, err := HuffmanParallelContext(ctx, sortedWeights(64))
-			if res != nil {
-				t.Errorf("result %v on aborted call, want nil", res)
+	for _, tc := range []struct {
+		point    string
+		panicNth int
+	}{
+		{"hufpar.height.level", 2},
+		{"hufpar.spine.level", 2},
+		// Every hit of one product precedes its first cut table; the
+		// 12th lands in a later product, with earlier tables live.
+		{"monge.cutpar.level", 12},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			for _, arm := range []faultArm{{"cancel", tc.point, 2}, {"panic", tc.point, tc.panicNth}} {
+				t.Run(arm.name, func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					ctx := injectAt(t, arm)
+					before := pool.Snapshot()
+					var res *HuffmanParallelResult
+					err := faulted(func() (err error) {
+						res, err = HuffmanParallelContext(ctx, sortedWeights(64))
+						return err
+					})
+					if res != nil {
+						t.Errorf("result %v on aborted call, want nil", res)
+					}
+					checkAborted(t, arm, before, err)
+					checkGoroutines(t, base)
+				})
 			}
-			checkAborted(t, before, err)
-			checkGoroutines(t, base)
 		})
 	}
 }
 
 func TestFaultInjectionHuffmanHeightLimited(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "hufpar.height.level", 3)
-	before := pool.Snapshot()
-	tr, _, err := HuffmanHeightLimitedContext(ctx, sortedWeights(48), 10)
-	if tr != nil {
-		t.Errorf("tree %v on aborted call, want nil", tr)
+	for _, arm := range bothArms("hufpar.height.level", 3) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var tr *Tree
+			err := faulted(func() (err error) {
+				tr, _, err = HuffmanHeightLimitedContext(ctx, sortedWeights(48), 10)
+				return err
+			})
+			if tr != nil {
+				t.Errorf("tree %v on aborted call, want nil", tr)
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 func TestFaultInjectionApproxBST(t *testing.T) {
@@ -132,15 +218,23 @@ func TestFaultInjectionApproxBST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "obst.approx.level", 2)
-	before := pool.Snapshot()
-	res, err := ApproxBSTContext(ctx, in, 0.01)
-	if res != nil {
-		t.Errorf("result %v on aborted call, want nil", res)
+	for _, arm := range bothArms("obst.approx.level", 2) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var res *ApproxBSTResult
+			err := faulted(func() (err error) {
+				res, err = ApproxBSTContext(ctx, in, 0.01)
+				return err
+			})
+			if res != nil {
+				t.Errorf("result %v on aborted call, want nil", res)
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 // TestFaultInjectionOBSTHeightBounded drives the internal height-bounded
@@ -160,16 +254,22 @@ func TestFaultInjectionOBSTHeightBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "obst.height.level", 2)
-	before := pool.Snapshot()
-	m := pram.New()
-	m.SetContext(ctx)
-	runErr := m.Run(func() {
-		_, _, _ = obst.HeightBounded(m, in, 8)
-	})
-	checkAborted(t, before, runErr)
-	checkGoroutines(t, base)
+	for _, arm := range bothArms("obst.height.level", 2) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			m := pram.New()
+			m.SetContext(ctx)
+			runErr := faulted(func() error {
+				return m.Run(func() {
+					_, _, _ = obst.HeightBounded(m, in, 8)
+				})
+			})
+			checkAborted(t, arm, before, runErr)
+			checkGoroutines(t, base)
+		})
+	}
 }
 
 func TestFaultInjectionConcaveMultiply(t *testing.T) {
@@ -177,15 +277,25 @@ func TestFaultInjectionConcaveMultiply(t *testing.T) {
 	if !IsConcave(a) {
 		t.Fatal("test matrix is not concave")
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "monge.cutpar.level", 1)
-	before := pool.Snapshot()
-	res, err := ConcaveMultiplyContext(ctx, a, a)
-	if res != nil {
-		t.Errorf("result on aborted call, want nil")
+	// The panic arm fires between the cut table and the value product,
+	// where the cut table is live.
+	for _, arm := range []faultArm{{"cancel", "monge.cutpar.level", 1}, {"panic", "monge.mulpar.value", 1}} {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var res *ConcaveMultiplyResult
+			err := faulted(func() (err error) {
+				res, err = ConcaveMultiplyContext(ctx, a, a)
+				return err
+			})
+			if res != nil {
+				t.Errorf("result on aborted call, want nil")
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 func TestFaultInjectionRecognizeLinear(t *testing.T) {
@@ -199,22 +309,33 @@ func TestFaultInjectionRecognizeLinear(t *testing.T) {
 		word[64-i] = word[i]
 	}
 	for _, tc := range []struct {
-		point string
-		nth   int
+		point    string
+		nth      int
+		panicNth int
 	}{
-		{"lincfl.tri", 4},
-		{"boolmat.mulpar", 3},
+		// The first hits walk the left spine before any region matrix
+		// exists; the 40th lands with many of them live.
+		{"lincfl.tri", 4, 40},
+		{"boolmat.mulpar", 3, 3},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			ctx := cancelAt(t, tc.point, tc.nth)
-			before := pool.Snapshot()
-			res, err := RecognizeLinearParallelContext(ctx, g, word)
-			if res != nil {
-				t.Errorf("result on aborted call, want nil")
+			for _, arm := range []faultArm{{"cancel", tc.point, tc.nth}, {"panic", tc.point, tc.panicNth}} {
+				t.Run(arm.name, func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					ctx := injectAt(t, arm)
+					before := pool.Snapshot()
+					var res *LinearRecognitionResult
+					err := faulted(func() (err error) {
+						res, err = RecognizeLinearParallelContext(ctx, g, word)
+						return err
+					})
+					if res != nil {
+						t.Errorf("result on aborted call, want nil")
+					}
+					checkAborted(t, arm, before, err)
+					checkGoroutines(t, base)
+				})
 			}
-			checkAborted(t, before, err)
-			checkGoroutines(t, base)
 		})
 	}
 }
@@ -226,15 +347,25 @@ func TestFaultInjectionDeriveLinear(t *testing.T) {
 	g := PalindromeGrammar()
 	word := []byte("aabacabaabacabaabacabaabacabaaczaabacabaabacaba"[:33])
 	word[16] = 'c'
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "lincfl.tri", 6)
-	before := pool.Snapshot()
-	_, ok, err := DeriveLinearParallelContext(ctx, g, word)
-	if ok {
-		t.Errorf("ok on aborted call, want false")
+	// As in TestFaultInjectionRecognizeLinear, the panic arm fires once
+	// the caches hold matrices.
+	for _, arm := range []faultArm{{"cancel", "lincfl.tri", 6}, {"panic", "lincfl.tri", 40}} {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var ok bool
+			err := faulted(func() (err error) {
+				_, ok, err = DeriveLinearParallelContext(ctx, g, word)
+				return err
+			})
+			if ok {
+				t.Errorf("ok on aborted call, want false")
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 func TestFaultInjectionShannonFano(t *testing.T) {
@@ -242,15 +373,23 @@ func TestFaultInjectionShannonFano(t *testing.T) {
 	for i := range probs {
 		probs[i] = 1.0 / 64
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "shannonfano.build", 1)
-	before := pool.Snapshot()
-	res, err := ShannonFanoContext(ctx, probs)
-	if res != nil {
-		t.Errorf("result on aborted call, want nil")
+	for _, arm := range bothArms("shannonfano.build", 1) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var res *ShannonFanoResult
+			err := faulted(func() (err error) {
+				res, err = ShannonFanoContext(ctx, probs)
+				return err
+			})
+			if res != nil {
+				t.Errorf("result on aborted call, want nil")
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 func TestFaultInjectionTreeFromMonotoneDepths(t *testing.T) {
@@ -258,34 +397,84 @@ func TestFaultInjectionTreeFromMonotoneDepths(t *testing.T) {
 	for i := range depths {
 		depths[i] = 6
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "leafpattern.monotone", 1)
-	before := pool.Snapshot()
-	tr, _, err := TreeFromMonotoneDepthsContext(ctx, depths)
-	if tr != nil {
-		t.Errorf("tree on aborted call, want nil")
+	for _, arm := range bothArms("leafpattern.monotone", 1) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var tr *Tree
+			err := faulted(func() (err error) {
+				tr, _, err = TreeFromMonotoneDepthsContext(ctx, depths)
+				return err
+			})
+			if tr != nil {
+				t.Errorf("tree on aborted call, want nil")
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
-// TestFaultInjectionBatch cancels mid-batch at a per-job fault point.
+// TestFaultInjectionBatch faults mid-batch at a per-job fault point.
 // Grain 1 makes every job boundary a checkpoint, so the statement aborts
-// instead of completing with silently partial results.
+// instead of completing with silently partial results. The per-job point
+// runs inside the statement body, so the panic arm raises on whichever
+// worker goroutine holds the job and must still reach the caller.
 func TestFaultInjectionBatch(t *testing.T) {
 	jobs := make([][]float64, 16)
 	for i := range jobs {
 		jobs[i] = []float64{1, 2, 3, float64(i + 1)}
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "batch.huffman.job", 3)
-	before := pool.Snapshot()
-	out, _, err := HuffmanBatchContext(ctx, jobs, Options{Workers: 2, Grain: 1})
-	if out != nil {
-		t.Errorf("results on aborted batch, want nil")
+	for _, arm := range bothArms("batch.huffman.job", 3) {
+		t.Run(arm.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := injectAt(t, arm)
+			before := pool.Snapshot()
+			var out []HuffmanBatchResult
+			err := faulted(func() (err error) {
+				out, _, err = HuffmanBatchContext(ctx, jobs, Options{Workers: 2, Grain: 1})
+				return err
+			})
+			if out != nil {
+				t.Errorf("results on aborted batch, want nil")
+			}
+			checkAborted(t, arm, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
+}
+
+// TestWorkerPanicReachesFacadeCaller: a job that panics inside a batch
+// statement — here a nil grammar, every 97th job — panics on a worker
+// goroutine. The panic must reach the façade caller, every time, and the
+// pooled machine must keep working.
+func TestWorkerPanicReachesFacadeCaller(t *testing.T) {
+	g := PalindromeGrammar()
+	jobs := make([]LinCFLBatchJob, 4096)
+	for i := range jobs {
+		jobs[i] = LinCFLBatchJob{Grammar: g, Word: []byte("abcba")}
+		if i%97 == 0 {
+			jobs[i].Grammar = nil
+		}
+	}
+	opts := Options{Workers: 4, Grain: 1}
+	for run := 0; run < 3; run++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("run %d: nil-grammar job did not panic", run)
+				}
+			}()
+			RecognizeLinearBatch(jobs, opts)
+		}()
+	}
+	out, _ := RecognizeLinearBatch(jobs[1:97], opts)
+	for i, ok := range out {
+		if !ok {
+			t.Fatalf("job %d rejected after the panicking batches", i+1)
+		}
+	}
 }
 
 // TestCancelBatchDefaultGrainStillAborts pins the serial-path fix: even

@@ -7,66 +7,72 @@ import (
 	"partree/internal/leafpattern"
 	"partree/internal/lincfl"
 	"partree/internal/obst"
+	"partree/internal/pram"
 	"partree/internal/shannonfano"
 )
 
-// Context-accepting variants of the parallel entry points. Each runs the
-// same algorithm as its counterpart but installs ctx on the simulated
-// PRAM: the orchestrator polls the context at every parallel-statement
-// boundary (and between serial grain-chunks), so cancelling ctx aborts
-// the call within one checkpoint interval. On abort the error is
-// ctx.Err() — context.Canceled or context.DeadlineExceeded — every
-// pooled workspace the kernels held is returned to the arena, and no
-// goroutines are leaked (workers observe the same cancellation at steal
-// boundaries and park at the statement barrier as usual).
+// Context-accepting variants of the parallel entry points, and the one
+// call shape of the façade: each plain entry point is a thin call to its
+// …Context twin with context.Background(), so every call acquires a
+// pooled machine and runs its kernel inside Machine.Run.
 //
-// A context with no Done channel (context.Background, context.TODO)
-// installs nothing: the call is exactly as fast as the non-Context
-// variant. Aborted statements book no Steps/Work, so Stats from an
-// aborted call reflect only the statements that completed.
+// A cancelable ctx is installed on the simulated PRAM: the orchestrator
+// polls it at every parallel-statement boundary (and between serial
+// grain-chunks), so cancelling ctx aborts the call within one checkpoint
+// interval with ctx.Err() — context.Canceled or
+// context.DeadlineExceeded. A context with no Done channel
+// (context.Background, context.TODO) installs nothing and costs nothing.
+// Aborted statements book no Steps/Work, so Stats from an aborted call
+// reflect only the statements that completed.
+//
+// Run is also the unwind path. Kernels release their pooled workspaces
+// on the normal path; on an abort or a panic — including a panic in a
+// parallel statement's body on a worker goroutine, which is re-raised on
+// the calling goroutine — Run returns every workspace still held to the
+// arena before returning the error or re-panicking, and no goroutines
+// are leaked (workers stop at their next steal boundary and park at the
+// statement barrier as usual).
 //
 // A context carrying a trace recorder (TraceContext) arms per-call
 // tracing exactly as Options.Trace does; Options.Trace wins when both
 // are set.
 
+// run is the façade's one call shape: it acquires a pooled machine for
+// opts under ctx, executes f inside Machine.Run and returns f's result
+// with the call's Stats. On an abort the result is T's zero value and
+// the error is ctx.Err(); a panic unwinds through Run to the caller.
+func run[T any](ctx context.Context, opts []Options, f func(*pram.Machine) T) (T, Stats, error) {
+	m, release := firstOption(opts).acquire(ctx)
+	defer release()
+	var out T
+	err := m.Run(func() { out = f(m) })
+	return out, statsOf(m), err
+}
+
 // HuffmanParallelContext is HuffmanParallel under a context. On
 // cancellation it returns (nil, ctx.Err()).
 func HuffmanParallelContext(ctx context.Context, freqs []float64, opts ...Options) (*HuffmanParallelResult, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var res *HuffmanParallelResult
-	err := m.Run(func() { res = huffmanParallelOn(m, freqs) })
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, err := run(ctx, opts, func(m *pram.Machine) *HuffmanParallelResult { return huffmanParallelOn(m, freqs) })
+	return res, err
 }
 
 // HuffmanRakeCompressCostContext is HuffmanRakeCompressCost under a
 // context.
 func HuffmanRakeCompressCostContext(ctx context.Context, freqs []float64, opts ...Options) (float64, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var c float64
-	err := m.Run(func() { c = hufpar.CostRakeCompress(m, freqs) })
-	if err != nil {
-		return 0, statsOf(m), err
-	}
-	return c, statsOf(m), nil
+	return run(ctx, opts, func(m *pram.Machine) float64 { return hufpar.CostRakeCompress(m, freqs) })
 }
 
 // HuffmanHeightLimitedContext is HuffmanHeightLimited under a context.
 // The returned error is either the kernel's infeasibility error or
 // ctx.Err() on cancellation.
 func HuffmanHeightLimitedContext(ctx context.Context, freqs []float64, maxHeight int, opts ...Options) (*Tree, float64, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var (
-		t    *Tree
-		cost float64
-		kerr error
-	)
-	err := m.Run(func() { t, cost, kerr = hufpar.HeightLimited(m, freqs, maxHeight) })
+	var cost float64
+	var kerr error
+	t, _, err := run(ctx, opts, func(m *pram.Machine) *Tree {
+		var t *Tree
+		t, cost, kerr = hufpar.HeightLimited(m, freqs, maxHeight)
+		return t
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -75,13 +81,12 @@ func HuffmanHeightLimitedContext(ctx context.Context, freqs []float64, maxHeight
 
 // ShannonFanoContext is ShannonFano under a context.
 func ShannonFanoContext(ctx context.Context, probs []float64, opts ...Options) (*ShannonFanoResult, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var (
-		res  *shannonfano.Result
-		kerr error
-	)
-	err := m.Run(func() { res, kerr = shannonfano.Build(m, probs) })
+	var kerr error
+	res, st, err := run(ctx, opts, func(m *pram.Machine) *shannonfano.Result {
+		var res *shannonfano.Result
+		res, kerr = shannonfano.Build(m, probs)
+		return res
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -93,16 +98,13 @@ func ShannonFanoContext(ctx context.Context, probs []float64, opts ...Options) (
 		Codes:         res.Codes,
 		Tree:          res.Tree,
 		AverageLength: res.AverageLength,
-		Stats:         statsOf(m),
+		Stats:         st,
 	}, nil
 }
 
 // ApproxBSTContext is ApproxBST under a context.
 func ApproxBSTContext(ctx context.Context, in *BSTInstance, eps float64, opts ...Options) (*ApproxBSTResult, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var res *obst.ApproxResult
-	err := m.Run(func() { res = obst.Approx(m, in, eps) })
+	res, st, err := run(ctx, opts, func(m *pram.Machine) *obst.ApproxResult { return obst.Approx(m, in, eps) })
 	if err != nil {
 		return nil, err
 	}
@@ -112,17 +114,14 @@ func ApproxBSTContext(ctx context.Context, in *BSTInstance, eps float64, opts ..
 		Epsilon:       res.Epsilon,
 		CollapsedKeys: res.Collapsed,
 		Comparisons:   res.Comparisons,
-		Stats:         statsOf(m),
+		Stats:         st,
 	}, nil
 }
 
 // RecognizeLinearParallelContext is RecognizeLinearParallel under a
 // context.
 func RecognizeLinearParallelContext(ctx context.Context, g *LinearGrammar, w []byte, opts ...Options) (*LinearRecognitionResult, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var res *lincfl.DCResult
-	err := m.Run(func() { res = lincfl.RecognizeDC(m, g, w) })
+	res, st, err := run(ctx, opts, func(m *pram.Machine) *lincfl.DCResult { return lincfl.RecognizeDC(m, g, w) })
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +130,7 @@ func RecognizeLinearParallelContext(ctx context.Context, g *LinearGrammar, w []b
 		Products: res.Products,
 		WordOps:  res.WordOps,
 		Depth:    res.Depth,
-		Stats:    statsOf(m),
+		Stats:    st,
 	}, nil
 }
 
@@ -139,13 +138,12 @@ func RecognizeLinearParallelContext(ctx context.Context, g *LinearGrammar, w []b
 // ok is false both for w ∉ L(G) and on cancellation; check err to tell
 // them apart.
 func DeriveLinearParallelContext(ctx context.Context, g *LinearGrammar, w []byte, opts ...Options) ([]DerivationStep, bool, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var (
-		steps []DerivationStep
-		ok    bool
-	)
-	err := m.Run(func() { steps, ok = lincfl.DeriveDC(m, g, w) })
+	var ok bool
+	steps, _, err := run(ctx, opts, func(m *pram.Machine) []DerivationStep {
+		var steps []DerivationStep
+		steps, ok = lincfl.DeriveDC(m, g, w)
+		return steps
+	})
 	if err != nil {
 		return nil, false, err
 	}
@@ -155,27 +153,20 @@ func DeriveLinearParallelContext(ctx context.Context, g *LinearGrammar, w []byte
 // TreeFromMonotoneDepthsContext is TreeFromMonotoneDepths under a
 // context.
 func TreeFromMonotoneDepthsContext(ctx context.Context, depths []int, opts ...Options) (*Tree, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var (
-		t    *Tree
-		kerr error
-	)
-	err := m.Run(func() { t, kerr = leafpattern.MonotonePar(m, depths) })
+	var kerr error
+	t, st, err := run(ctx, opts, func(m *pram.Machine) *Tree {
+		var t *Tree
+		t, kerr = leafpattern.MonotonePar(m, depths)
+		return t
+	})
 	if err != nil {
-		return nil, statsOf(m), err
+		return nil, st, err
 	}
-	return t, statsOf(m), kerr
+	return t, st, kerr
 }
 
 // ConcaveMultiplyContext is ConcaveMultiply under a context.
 func ConcaveMultiplyContext(ctx context.Context, a, b [][]float64, opts ...Options) (*ConcaveMultiplyResult, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var res *ConcaveMultiplyResult
-	err := m.Run(func() { res = concaveMultiplyOn(m, a, b) })
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, err := run(ctx, opts, func(m *pram.Machine) *ConcaveMultiplyResult { return concaveMultiplyOn(m, a, b) })
+	return res, err
 }

@@ -28,6 +28,7 @@ type Matrix struct {
 	// arena; released flips on Release so double releases fail loudly.
 	pooled   bool
 	released bool
+	lease    pram.Lease // registration in the creating Run's scope
 }
 
 // New returns an all-false R×C matrix.
@@ -47,25 +48,33 @@ var headerPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // NewFromPool returns an all-false R×C matrix whose word slab is drawn
 // from the workspace arena. Call Release when done with it; forgetting
-// to is safe (the slab is collected) but forfeits the reuse.
-func NewFromPool(r, c int) *Matrix {
+// to is safe (the slab is collected) but forfeits the reuse. s is the
+// scope of the machine the calling kernel runs on
+// (pram.Machine.Scope): if that Run unwinds before the matrix is
+// released, Run releases it. Callers with no machine pass nil.
+func NewFromPool(s *pram.Scope, r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic("boolmat: negative dimension")
 	}
 	w := (c + 63) / 64
+	var m *Matrix
 	if reuseHeaders && pool.Enabled() {
-		m := headerPool.Get().(*Matrix)
+		m = headerPool.Get().(*Matrix)
 		m.R, m.C, m.words = r, c, w
 		m.bits = pool.Uint64s(r * w)
 		m.pooled, m.released = true, false
-		return m
+	} else {
+		m = &Matrix{R: r, C: c, words: w, bits: pool.Uint64s(r * w), pooled: true}
 	}
-	return &Matrix{R: r, C: c, words: w, bits: pool.Uint64s(r * w), pooled: true}
+	s.Track(m, &m.lease)
+	return m
 }
 
 // Release returns the matrix's word slab to the arena. The matrix must
 // not be used afterwards — its storage is dropped, so any access panics
 // instead of silently reading recycled words. Releasing twice panics.
+// The lease is returned first: once the header is back in headerPool it
+// may belong to another machine's kernel, and no scope may still hold it.
 func (m *Matrix) Release() {
 	if m == nil {
 		return
@@ -74,6 +83,7 @@ func (m *Matrix) Release() {
 		panic("boolmat: double release of Matrix")
 	}
 	m.released = true
+	m.lease.Return()
 	if m.pooled {
 		pool.PutUint64s(m.bits)
 	}
@@ -84,9 +94,10 @@ func (m *Matrix) Release() {
 }
 
 // Identity returns the n×n identity (pool-backed: the separator
-// recursion churns through one per leaf region).
-func Identity(n int) *Matrix {
-	m := NewFromPool(n, n)
+// recursion churns through one per leaf region), tracked in s like
+// NewFromPool.
+func Identity(s *pram.Scope, n int) *Matrix {
+	m := NewFromPool(s, n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, true)
 	}
@@ -204,12 +215,13 @@ func mulRowInto(orow, arow []uint64, b *Matrix, w0, w1 int) {
 // dense model). The kernel is cache-blocked: A's columns are walked in
 // word-aligned k-tiles sized so the touched band of B stays resident
 // across all rows of A, and zero words of A are skipped entirely. The
-// output slab comes from the workspace arena (Release it to recycle).
-func Mul(a, b *Matrix) *Matrix {
+// output slab comes from the workspace arena (Release it to recycle) and
+// is tracked in s like NewFromPool.
+func Mul(s *pram.Scope, a, b *Matrix) *Matrix {
 	if a.C != b.R {
 		panic("boolmat: dimension mismatch")
 	}
-	out := NewFromPool(a.R, b.C)
+	out := NewFromPool(s, a.R, b.C)
 	if a.C == 0 || b.C == 0 {
 		return out
 	}
@@ -242,21 +254,13 @@ func MulPar(m *pram.Machine, a, b *Matrix) *Matrix {
 		defer m.Phase("boolmat.MulPar")()
 		faultpoint.Hit("boolmat.mulpar")
 		m.Step(1)
-		return Mul(a, b)
+		return Mul(m.Scope(), a, b)
 	}
 	defer m.Phase("boolmat.MulPar")()
-	out := NewFromPool(a.R, b.C)
+	out := NewFromPool(m.Scope(), a.R, b.C)
 	if a.C == 0 || b.C == 0 {
 		return out
 	}
-	// A cancellation abort inside the For must hand the output slab back
-	// to the arena on its way up the stack.
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.Release()
-			panic(rec)
-		}
-	}()
 	faultpoint.Hit("boolmat.mulpar")
 	aw := (a.C + 63) >> 6
 	m.For(a.R, func(i int) {
@@ -271,11 +275,11 @@ func Closure(m *Matrix) *Matrix {
 	if m.R != m.C {
 		panic("boolmat: closure of non-square matrix")
 	}
-	id := Identity(m.R)
+	id := Identity(nil, m.R)
 	cur := m.Clone().Or(id)
 	id.Release()
 	for span := 1; span < m.R; span <<= 1 {
-		next := Mul(cur, cur)
+		next := Mul(nil, cur, cur)
 		cur.Release()
 		cur = next
 	}
@@ -289,18 +293,9 @@ func ClosurePar(mach *pram.Machine, m *Matrix) *Matrix {
 		panic("boolmat: closure of non-square matrix")
 	}
 	defer mach.Phase("boolmat.ClosurePar")()
-	id := Identity(m.R)
+	id := Identity(mach.Scope(), m.R)
 	cur := m.Clone().Or(id)
 	id.Release()
-	// cur is a GC'd Clone before the first squaring and a pooled MulPar
-	// product afterwards; Release handles both, and MulPar releases its
-	// own output when the abort happens inside it.
-	defer func() {
-		if rec := recover(); rec != nil {
-			cur.Release()
-			panic(rec)
-		}
-	}()
 	for span := 1; span < m.R; span <<= 1 {
 		next := MulPar(mach, cur, cur)
 		cur.Release()
@@ -337,7 +332,7 @@ func MulCounted(a, b *Matrix, cnt *OpCounter) *Matrix {
 	if a.C != b.R {
 		panic("boolmat: dimension mismatch")
 	}
-	out := NewFromPool(a.R, b.C)
+	out := NewFromPool(nil, a.R, b.C)
 	if a.C == 0 || b.C == 0 {
 		return out
 	}

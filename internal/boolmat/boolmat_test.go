@@ -53,7 +53,7 @@ func TestGetSet(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	id := Identity(5)
+	id := Identity(nil, 5)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			if id.Get(i, j) != (i == j) {
@@ -62,7 +62,7 @@ func TestIdentity(t *testing.T) {
 		}
 	}
 	m := randMat(rand.New(rand.NewSource(1)), 5, 5, 0.3)
-	if !Mul(id, m).Equal(m) || !Mul(m, id).Equal(m) {
+	if !Mul(nil, id, m).Equal(m) || !Mul(nil, m, id).Equal(m) {
 		t.Error("identity must be neutral for Mul")
 	}
 }
@@ -73,7 +73,7 @@ func TestMulMatchesNaive(t *testing.T) {
 		p, q, r := 1+rng.Intn(80), 1+rng.Intn(80), 1+rng.Intn(150)
 		a := randMat(rng, p, q, 0.15)
 		b := randMat(rng, q, r, 0.15)
-		if !Mul(a, b).Equal(mulNaive(a, b)) {
+		if !Mul(nil, a, b).Equal(mulNaive(a, b)) {
 			t.Fatalf("trial %d: Mul differs from naive (%d,%d,%d)", trial, p, q, r)
 		}
 	}
@@ -86,7 +86,7 @@ func TestMulParMatchesSequential(t *testing.T) {
 		p, q, r := 1+rng.Intn(100), 1+rng.Intn(100), 1+rng.Intn(100)
 		a := randMat(rng, p, q, 0.2)
 		b := randMat(rng, q, r, 0.2)
-		if !MulPar(m, a, b).Equal(Mul(a, b)) {
+		if !MulPar(m, a, b).Equal(Mul(nil, a, b)) {
 			t.Fatalf("trial %d: parallel product differs", trial)
 		}
 	}
@@ -128,7 +128,7 @@ func TestClosureMatchesFloydWarshall(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(40)
 		m := randMat(rng, n, n, 0.08)
-		want := m.Clone().Or(Identity(n))
+		want := m.Clone().Or(Identity(nil, n))
 		for k := 0; k < n; k++ {
 			for i := 0; i < n; i++ {
 				if want.Get(i, k) {
@@ -168,7 +168,7 @@ func TestMulCounted(t *testing.T) {
 	if want := int64(8 + 3); cnt2.Load() != want {
 		t.Errorf("sparse ops = %d, want %d", cnt2.Load(), want)
 	}
-	if !got.Equal(Mul(a, b)) {
+	if !got.Equal(Mul(nil, a, b)) {
 		t.Error("MulCounted product differs from Mul")
 	}
 	var nilCnt *OpCounter
@@ -181,7 +181,7 @@ func TestMulCounted(t *testing.T) {
 func TestReleaseRecyclesAndDoubleReleasePanics(t *testing.T) {
 	pool.Reset()
 	defer pool.Reset()
-	m := NewFromPool(8, 130)
+	m := NewFromPool(nil, 8, 130)
 	m.Set(3, 100, true)
 	m.Release()
 	if st := pool.Snapshot(); st.Puts == 0 {
@@ -213,9 +213,9 @@ func TestPooledMulMatchesUnpooled(t *testing.T) {
 				b.Set(i, j, rng.Intn(4) == 0)
 			}
 		}
-		pooled := Mul(a, b)
+		pooled := Mul(nil, a, b)
 		prev := pool.SetEnabled(false)
-		plain := Mul(a, b)
+		plain := Mul(nil, a, b)
 		pool.SetEnabled(prev)
 		if !pooled.Equal(plain) {
 			t.Fatalf("trial %d (%dx%dx%d): pooled product differs from unpooled", trial, p, q, r)
@@ -226,7 +226,7 @@ func TestPooledMulMatchesUnpooled(t *testing.T) {
 
 func TestDimensionPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"mul":     func() { Mul(New(2, 3), New(4, 5)) },
+		"mul":     func() { Mul(nil, New(2, 3), New(4, 5)) },
 		"or":      func() { New(2, 2).Or(New(3, 3)) },
 		"closure": func() { Closure(New(2, 3)) },
 		"neg":     func() { New(-1, 2) },
@@ -259,5 +259,67 @@ func TestClosureParMatchesSequential(t *testing.T) {
 		if !ClosurePar(m, x).Equal(Closure(x)) {
 			t.Fatalf("trial %d: parallel closure differs", trial)
 		}
+	}
+}
+
+// TestScopeUnwindSkipsRecycledHeaders: a matrix released inside a Run
+// hands its header back to headerPool, where another owner may pick it
+// up. When the Run later unwinds, the scope must release only the
+// matrices still live in it — never the recycled header's new owner —
+// and the arena ledger must balance.
+func TestScopeUnwindSkipsRecycledHeaders(t *testing.T) {
+	m := pram.New()
+	before := pool.Snapshot()
+	var other *Matrix
+	func() {
+		defer func() {
+			if r := recover(); r != "unwind" {
+				t.Fatalf("recovered %v, want \"unwind\"", r)
+			}
+		}()
+		_ = m.Run(func() {
+			a := NewFromPool(m.Scope(), 4, 70)
+			a.Release()
+			other = NewFromPool(nil, 4, 70) // likely a's recycled header
+			NewFromPool(m.Scope(), 4, 70)   // live at the unwind
+			Identity(m.Scope(), 5)          // live at the unwind
+			panic("unwind")
+		})
+	}()
+	if other.released {
+		t.Fatal("the unwind released a header owned outside the Run")
+	}
+	other.Set(3, 69, true)
+	if !other.Get(3, 69) {
+		t.Fatal("the surviving matrix lost its storage")
+	}
+	other.Release()
+	after := pool.Snapshot()
+	if dg, dp := after.Gets-before.Gets, after.Puts-before.Puts; dg != dp {
+		t.Fatalf("pool ledger unbalanced: %d gets vs %d puts", dg, dp)
+	}
+}
+
+// TestMulParUnwindReleasesOutput: a panic in MulPar's statement body,
+// raised on a worker goroutine, reaches the caller of Run with the
+// product's output slab back in the arena.
+func TestMulParUnwindReleasesOutput(t *testing.T) {
+	m := pram.New(pram.WithWorkers(4), pram.WithGrain(1))
+	defer m.Close()
+	a := randMat(rand.New(rand.NewSource(5)), 64, 64, 0.3)
+	b := New(32, 64) // wrong shape for the rows a's bits select
+	b.R = 64         // pass the dimension check; row reads run off the end
+	before := pool.Snapshot()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("out-of-range row read did not panic")
+			}
+		}()
+		_ = m.Run(func() { MulPar(m, a, b) })
+	}()
+	after := pool.Snapshot()
+	if dg, dp := after.Gets-before.Gets, after.Puts-before.Puts; dg != dp {
+		t.Fatalf("pool ledger unbalanced: %d gets vs %d puts", dg, dp)
 	}
 }

@@ -36,7 +36,7 @@ func TestMulParSerialCutoverMatches(t *testing.T) {
 		if m.Counters().Steps == before {
 			t.Fatalf("trial %d: MulPar charged no steps", trial)
 		}
-		if !got.Equal(Mul(a, b)) {
+		if !got.Equal(Mul(nil, a, b)) {
 			t.Fatalf("trial %d (%d,%d,%d): cutover product differs from serial", trial, p, q, r)
 		}
 	}

@@ -15,9 +15,10 @@
 //	}
 //
 // Hooks run synchronously on whatever goroutine reached the point — a
-// hook that panics, panics there. Tests that inject panics into kernel
-// code must therefore only target points reached by the orchestrating
-// goroutine (see internal/pram's cancellation notes).
+// hook that panics, panics there. A panic on a PRAM worker goroutine is
+// captured at the statement barrier and re-raised on the orchestrating
+// goroutine (see internal/pram's unwind notes), so either kind of point
+// unwinds through Machine.Run to the caller.
 package faultpoint
 
 import (

@@ -57,12 +57,6 @@ func BuildConcaveCRCW(m *pram.Machine, weights []float64) *Result {
 	return buildConcave(m, weights, func(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.Dense, *matrix.IntMat) {
 		cut := monge.CutBottomUpCRCW(m, a, b, cnt)
 		prod := matrix.NewInf(cut.R, cut.C)
-		defer func() {
-			if rec := recover(); rec != nil {
-				cut.Release()
-				panic(rec)
-			}
-		}()
 		m.For(cut.R*cut.C, func(e int) {
 			i, j := e/cut.C, e%cut.C
 			if k := cut.At(i, j); k >= 0 {
@@ -103,32 +97,11 @@ func buildConcave(m *pram.Machine, weights []float64, mul mulFunc) *Result {
 	heightCuts := make([]*matrix.IntMat, levels)
 	squarings := xmath.CeilLog2(n + 1)
 	pathCuts := make([]*matrix.IntMat, squarings)
-	// The cut tables live until reconstruction and the products are pooled,
-	// so this kernel holds the stack's largest cross-statement pooled
-	// state; a cancellation abort in any product or fold must hand it all
-	// back to the arena on the way up.
-	var mp, cur, prod *matrix.Dense
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, c := range heightCuts {
-				c.Release()
-			}
-			for _, c := range pathCuts {
-				c.Release()
-			}
-			prod.Release()
-			if cur != mp {
-				cur.Release()
-			}
-			panic(rec)
-		}
-	}()
 
 	restore := m.Phase("hufpar.heights")
 	for h := 0; h < levels; h++ {
 		faultpoint.Hit("hufpar.height.level")
-		var cut *matrix.IntMat
-		prod, cut = mul(m, a, a, &cnt)
+		prod, cut := mul(m, a, a, &cnt)
 		heightCuts[h] = cut
 		next := matrix.NewInf(n+1, n+1)
 		m.For((n+1)*(n+1), func(e int) {
@@ -144,13 +117,12 @@ func buildConcave(m *pram.Machine, weights []float64, mul mulFunc) *Result {
 		// The product is folded into next; recycle its slab for the next
 		// level (the For barrier guarantees no reader is left).
 		prod.Release()
-		prod = nil
 	}
 	restore()
 
 	// Path matrix M' (Section 5): self-loop at 0 plus A-edges shifted by
 	// the full prefix weight S[0][j].
-	mp = matrix.NewInf(n+1, n+1)
+	mp := matrix.NewInf(n+1, n+1)
 	mp.Set(0, 0, 0)
 	mp.Set(0, 1, 0)
 	for i := 1; i <= n; i++ {
@@ -159,7 +131,7 @@ func buildConcave(m *pram.Machine, weights []float64, mul mulFunc) *Result {
 		}
 	}
 
-	cur = mp
+	cur := mp
 	restore = m.Phase("hufpar.spine")
 	for sq := 0; sq < squarings; sq++ {
 		faultpoint.Hit("hufpar.spine.level")
@@ -178,14 +150,12 @@ func buildConcave(m *pram.Machine, weights []float64, mul mulFunc) *Result {
 	if cur != mp {
 		cur.Release()
 	}
-	cur = mp
 	for _, c := range pathCuts {
 		c.Release()
 	}
 	for _, c := range heightCuts {
 		c.Release()
 	}
-	heightCuts, pathCuts = nil, nil
 	return &Result{
 		Cost:         cost,
 		Tree:         t,

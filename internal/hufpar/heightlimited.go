@@ -43,20 +43,9 @@ func HeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float
 	}
 	var cnt matrix.OpCount
 	cuts := make([]*matrix.IntMat, h)
-	var prod *matrix.Dense
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, c := range cuts {
-				c.Release()
-			}
-			prod.Release()
-			panic(rec)
-		}
-	}()
 	for t := 0; t < h; t++ {
 		faultpoint.Hit("hufpar.height.level")
-		var cut *matrix.IntMat
-		prod, cut = monge.MulPar(m, a, a, &cnt)
+		prod, cut := monge.MulPar(m, a, a, &cnt)
 		cuts[t] = cut
 		next := matrix.NewInf(n+1, n+1)
 		m.For((n+1)*(n+1), func(e int) {
@@ -70,13 +59,11 @@ func HeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float
 		})
 		a = next
 		prod.Release()
-		prod = nil
 	}
 	releaseCuts := func() {
 		for _, c := range cuts {
 			c.Release()
 		}
-		cuts = nil
 	}
 	cost := a.At(0, n)
 	if semiring.IsInf(cost) {

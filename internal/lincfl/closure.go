@@ -54,7 +54,7 @@ func RecognizeClosure(m *pram.Machine, g *grammar.Linear, w []byte) *ClosureResu
 		}
 	}
 
-	cur := adj.Or(boolmat.Identity(verts))
+	cur := adj.Or(boolmat.Identity(m.Scope(), verts))
 	words := int64((verts + 63) / 64)
 	for span := 1; span < verts; span <<= 1 {
 		cur = boolmat.MulPar(m, cur, cur)

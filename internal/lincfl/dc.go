@@ -220,7 +220,7 @@ func rectOut(a, b, c, d int) boundary { return boundary{kind: bRectOut, a: a, b:
 // to (mapCell(cell), B) for every (A,B) set in block (nil block = the
 // identity on nonterminals). Cells that mapCell rejects route nowhere.
 func (ctx *dcCtx) inject(from, to boundary, mapCell func([2]int) ([2]int, bool), block *boolmat.Matrix) *boolmat.Matrix {
-	out := boolmat.NewFromPool(from.size()*ctx.k, to.size()*ctx.k)
+	out := boolmat.NewFromPool(ctx.m.Scope(), from.size()*ctx.k, to.size()*ctx.k)
 	for fi, fn := 0, from.size(); fi < fn; fi++ {
 		tc, ok := mapCell(from.cell(fi))
 		if !ok {
@@ -256,7 +256,7 @@ func (ctx *dcCtx) mul(a, b *boolmat.Matrix) *boolmat.Matrix {
 	// both the statement dispatch and the per-product phase bookkeeping.
 	// The counted word-op total above is model-level and unchanged.
 	if cut := engine.LinCFLSerialWords(); cut > 0 && boolmat.EstMulWords(a, b) <= int64(cut) {
-		out := boolmat.Mul(a, b)
+		out := boolmat.Mul(ctx.m.Scope(), a, b)
 		ctx.m.Step(1)
 		return out
 	}
@@ -321,22 +321,12 @@ func (ctx *dcCtx) tri(lo, hi, depth int) *boolmat.Matrix {
 	ctx.noteDepth(depth)
 	faultpoint.Hit("lincfl.tri")
 	if lo == hi {
-		return boolmat.Identity(ctx.k)
+		return boolmat.Identity(ctx.m.Scope(), ctx.k)
 	}
 	mid := (lo + hi) / 2
-	// A cancellation abort below (inside any product's For) unwinds this
-	// frame; the already-built children must be released on the way up —
-	// the combine helpers release their own intermediates.
-	var rl, rr, rq *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(rl, rr, rq)
-			panic(rec)
-		}
-	}()
-	rl = ctx.tri(lo, mid, depth+1)
-	rr = ctx.tri(mid+1, hi, depth+1)
-	rq = ctx.rect(lo, mid, mid+1, hi, depth+1)
+	rl := ctx.tri(lo, mid, depth+1)
+	rr := ctx.tri(mid+1, hi, depth+1)
+	rq := ctx.rect(lo, mid, mid+1, hi, depth+1)
 	res := ctx.combineTri(lo, hi, rl, rr, rq)
 	// The children are fully folded into res; recycle their slabs for the
 	// sibling recursions. (The caching extractor keeps its children alive
@@ -347,7 +337,7 @@ func (ctx *dcCtx) tri(lo, hi, depth int) *boolmat.Matrix {
 
 // combineTri assembles a triangle's boundary reachability from its three
 // pieces' matrices — shared with the caching recursion in derive_dc.go.
-func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolmat.Matrix) {
+func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) *boolmat.Matrix {
 	mid := (lo + hi) / 2
 	inT := triIn(lo, hi)
 	outT := triOut(lo, hi)
@@ -355,38 +345,25 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolm
 	inR, outR := triIn(mid+1, hi), triOut(mid+1, hi)
 	inQ, outQ := rectIn(lo, mid, mid+1, hi), rectOut(lo, mid, mid+1, hi)
 
-	// Every intermediate is declared up front and nil'd as it is released
-	// on the normal path, so a cancellation abort inside any product can
-	// return exactly the still-live ones to the arena (Release is
-	// nil-safe) before the unwind continues.
-	var loutT, routT, lFull, rFull, xl, xr, ql, qr, qFull, sl, sr, sq, tr, tq *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(loutT, routT, lFull, rFull, xl, xr, ql, qr, qFull, sl, sr, sq, tr, tq, res)
-			panic(rec)
-		}
-	}()
-
 	// Region → OUT(T) pipelines.
-	loutT = ctx.inject(outL, outT, same, nil) // L's diagonal is part of T's
-	routT = ctx.inject(outR, outT, same, nil) // R's diagonal too
-	lFull = ctx.mul(rl, loutT)                // IN(L) → OUT(T)
-	rFull = ctx.mul(rr, routT)                // IN(R) → OUT(T)
-	xl = ctx.inject(outQ, inL, crossLeft(mid+1), ctx.blockRight(ctx.w[mid+1]))
-	xr = ctx.inject(outQ, inR, crossDown(mid), ctx.blockLeft(ctx.w[mid]))
-	ql = ctx.mul(xl, lFull)
-	qr = ctx.mul(xr, rFull)
-	qFull = ctx.mul(rq, ql.Or(qr)) // IN(Q) → OUT(T)
+	loutT := ctx.inject(outL, outT, same, nil) // L's diagonal is part of T's
+	routT := ctx.inject(outR, outT, same, nil) // R's diagonal too
+	lFull := ctx.mul(rl, loutT)                // IN(L) → OUT(T)
+	rFull := ctx.mul(rr, routT)                // IN(R) → OUT(T)
+	xl := ctx.inject(outQ, inL, crossLeft(mid+1), ctx.blockRight(ctx.w[mid+1]))
+	xr := ctx.inject(outQ, inR, crossDown(mid), ctx.blockLeft(ctx.w[mid]))
+	ql := ctx.mul(xl, lFull)
+	qr := ctx.mul(xr, rFull)
+	qFull := ctx.mul(rq, ql.Or(qr)) // IN(Q) → OUT(T)
 	release(loutT, routT, xl, xr, ql, qr)
-	loutT, routT, xl, xr, ql, qr = nil, nil, nil, nil, nil, nil
 
 	// IN(T) routing.
-	sl = ctx.inject(inT, inL, same, nil)
-	sr = ctx.inject(inT, inR, same, nil)
-	sq = ctx.inject(inT, inQ, same, nil)
-	res = ctx.mul(sl, lFull)
-	tr = ctx.mul(sr, rFull)
-	tq = ctx.mul(sq, qFull)
+	sl := ctx.inject(inT, inL, same, nil)
+	sr := ctx.inject(inT, inR, same, nil)
+	sq := ctx.inject(inT, inQ, same, nil)
+	res := ctx.mul(sl, lFull)
+	tr := ctx.mul(sr, rFull)
+	tq := ctx.mul(sq, qFull)
 	res.Or(tr).Or(tq)
 	release(sl, sr, sq, tr, tq, lFull, rFull, qFull)
 	return res
@@ -396,20 +373,13 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolm
 func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 	ctx.noteDepth(depth)
 	if a == b && c == d {
-		return boolmat.Identity(ctx.k)
+		return boolmat.Identity(ctx.m.Scope(), ctx.k)
 	}
-	var r1, r2, r3, r4 *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(r1, r2, r3, r4)
-			panic(rec)
-		}
-	}()
 	if a == b {
 		// Single row: split columns.
 		m2 := (c + d) / 2
-		r1 = ctx.rect(a, b, c, m2, depth+1)
-		r2 = ctx.rect(a, b, m2+1, d, depth+1)
+		r1 := ctx.rect(a, b, c, m2, depth+1)
+		r2 := ctx.rect(a, b, m2+1, d, depth+1)
 		res := ctx.combineRectRow(a, b, c, d, r1, r2)
 		release(r1, r2)
 		return res
@@ -417,8 +387,8 @@ func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 	if c == d {
 		// Single column: split rows.
 		m1 := (a + b) / 2
-		r1 = ctx.rect(a, m1, c, d, depth+1)
-		r2 = ctx.rect(m1+1, b, c, d, depth+1)
+		r1 := ctx.rect(a, m1, c, d, depth+1)
+		r2 := ctx.rect(m1+1, b, c, d, depth+1)
 		res := ctx.combineRectCol(a, b, c, d, r1, r2)
 		release(r1, r2)
 		return res
@@ -426,10 +396,10 @@ func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 	// Full quadrant split.
 	m1 := (a + b) / 2
 	m2 := (c + d) / 2
-	r1 = ctx.rect(a, m1, c, m2, depth+1)
-	r2 = ctx.rect(a, m1, m2+1, d, depth+1)
-	r3 = ctx.rect(m1+1, b, c, m2, depth+1)
-	r4 = ctx.rect(m1+1, b, m2+1, d, depth+1)
+	r1 := ctx.rect(a, m1, c, m2, depth+1)
+	r2 := ctx.rect(a, m1, m2+1, d, depth+1)
+	r3 := ctx.rect(m1+1, b, c, m2, depth+1)
+	r4 := ctx.rect(m1+1, b, m2+1, d, depth+1)
 	res := ctx.combineRectQuad(a, b, c, d, r1, r2, r3, r4)
 	release(r1, r2, r3, r4)
 	return res
@@ -438,29 +408,22 @@ func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 // combineRectRow assembles a single-row rectangle from its west/east
 // halves. Like combineTri, it releases every intermediate it creates but
 // leaves the child matrices to the caller (the extractor caches them).
-func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *boolmat.Matrix) {
+func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) *boolmat.Matrix {
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m2 := (c + d) / 2
 	inW, outW := rectIn(a, b, c, m2), rectOut(a, b, c, m2)
 	inE, outE := rectIn(a, b, m2+1, d), rectOut(a, b, m2+1, d)
-	var woutQ, eoutQ, wFull, xw, xwF, eFull, sw, se, te *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(woutQ, eoutQ, wFull, xw, xwF, eFull, sw, se, te, res)
-			panic(rec)
-		}
-	}()
-	woutQ = ctx.inject(outW, outQ, same, nil)
-	eoutQ = ctx.inject(outE, outQ, same, nil)
-	wFull = ctx.mul(rw, woutQ)
-	xw = ctx.inject(outE, inW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xwF = ctx.mul(xw, wFull)
-	eFull = ctx.mul(re, eoutQ.Or(xwF))
-	sw = ctx.inject(inQ, inW, same, nil)
-	se = ctx.inject(inQ, inE, same, nil)
-	res = ctx.mul(sw, wFull)
-	te = ctx.mul(se, eFull)
+	woutQ := ctx.inject(outW, outQ, same, nil)
+	eoutQ := ctx.inject(outE, outQ, same, nil)
+	wFull := ctx.mul(rw, woutQ)
+	xw := ctx.inject(outE, inW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
+	xwF := ctx.mul(xw, wFull)
+	eFull := ctx.mul(re, eoutQ.Or(xwF))
+	sw := ctx.inject(inQ, inW, same, nil)
+	se := ctx.inject(inQ, inE, same, nil)
+	res := ctx.mul(sw, wFull)
+	te := ctx.mul(se, eFull)
 	res.Or(te)
 	release(woutQ, eoutQ, xw, xwF, sw, se, te, wFull, eFull)
 	return res
@@ -468,37 +431,30 @@ func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *b
 
 // combineRectCol assembles a single-column rectangle from its north/south
 // halves.
-func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) (res *boolmat.Matrix) {
+func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) *boolmat.Matrix {
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m1 := (a + b) / 2
 	inN, outN := rectIn(a, m1, c, d), rectOut(a, m1, c, d)
 	inS, outS := rectIn(m1+1, b, c, d), rectOut(m1+1, b, c, d)
-	var noutQ, soutQ, sFull, xn, xnF, nFull, sn, ss, ts *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(noutQ, soutQ, sFull, xn, xnF, nFull, sn, ss, ts, res)
-			panic(rec)
-		}
-	}()
-	noutQ = ctx.inject(outN, outQ, same, nil)
-	soutQ = ctx.inject(outS, outQ, same, nil)
-	sFull = ctx.mul(rs, soutQ)
-	xn = ctx.inject(outN, inS, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xnF = ctx.mul(xn, sFull)
+	noutQ := ctx.inject(outN, outQ, same, nil)
+	soutQ := ctx.inject(outS, outQ, same, nil)
+	sFull := ctx.mul(rs, soutQ)
+	xn := ctx.inject(outN, inS, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
+	xnF := ctx.mul(xn, sFull)
 	// IN(N) → OUT(Q): direct exits plus crossing down into S.
-	nFull = ctx.mul(rn, noutQ.Or(xnF))
-	sn = ctx.inject(inQ, inN, same, nil)
-	ss = ctx.inject(inQ, inS, same, nil)
-	res = ctx.mul(sn, nFull)
-	ts = ctx.mul(ss, sFull)
+	nFull := ctx.mul(rn, noutQ.Or(xnF))
+	sn := ctx.inject(inQ, inN, same, nil)
+	ss := ctx.inject(inQ, inS, same, nil)
+	res := ctx.mul(sn, nFull)
+	ts := ctx.mul(ss, sFull)
 	res.Or(ts)
 	release(noutQ, soutQ, xn, xnF, sn, ss, ts, nFull, sFull)
 	return res
 }
 
 // combineRectQuad assembles a rectangle from its four quadrants.
-func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Matrix) (res *boolmat.Matrix) {
+func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Matrix) *boolmat.Matrix {
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m1 := (a + b) / 2
@@ -509,41 +465,29 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Ma
 	inSW, outSW := rectIn(m1+1, b, c, m2), rectOut(m1+1, b, c, m2)
 	inSE, outSE := rectIn(m1+1, b, m2+1, d), rectOut(m1+1, b, m2+1, d)
 
-	var swOut, swFull, xwDown, xwF, nwOut, nwFull, xsLeft, xsF, seOut, seFull,
-		xnLeft, xeDown, xnF, xeF, neFull, snw, sne, sse, tne, tse *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(swOut, swFull, xwDown, xwF, nwOut, nwFull, xsLeft, xsF, seOut, seFull,
-				xnLeft, xeDown, xnF, xeF, neFull, snw, sne, sse, tne, tse, res)
-			panic(rec)
-		}
-	}()
-
-	swOut = ctx.inject(outSW, outQ, same, nil)
-	swFull = ctx.mul(rsw, swOut)
-	xwDown = ctx.inject(outNW, inSW, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xwF = ctx.mul(xwDown, swFull)
-	nwOut = ctx.inject(outNW, outQ, same, nil)
-	nwFull = ctx.mul(rnw, nwOut.Or(xwF))
-	xsLeft = ctx.inject(outSE, inSW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xsF = ctx.mul(xsLeft, swFull)
-	seOut = ctx.inject(outSE, outQ, same, nil)
-	seFull = ctx.mul(rse, seOut.Or(xsF))
-	xnLeft = ctx.inject(outNE, inNW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xeDown = ctx.inject(outNE, inSE, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xnF = ctx.mul(xnLeft, nwFull)
-	xeF = ctx.mul(xeDown, seFull)
-	neFull = ctx.mul(rne, xnF.Or(xeF))
+	swOut := ctx.inject(outSW, outQ, same, nil)
+	swFull := ctx.mul(rsw, swOut)
+	xwDown := ctx.inject(outNW, inSW, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
+	xwF := ctx.mul(xwDown, swFull)
+	nwOut := ctx.inject(outNW, outQ, same, nil)
+	nwFull := ctx.mul(rnw, nwOut.Or(xwF))
+	xsLeft := ctx.inject(outSE, inSW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
+	xsF := ctx.mul(xsLeft, swFull)
+	seOut := ctx.inject(outSE, outQ, same, nil)
+	seFull := ctx.mul(rse, seOut.Or(xsF))
+	xnLeft := ctx.inject(outNE, inNW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
+	xeDown := ctx.inject(outNE, inSE, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
+	xnF := ctx.mul(xnLeft, nwFull)
+	xeF := ctx.mul(xeDown, seFull)
+	neFull := ctx.mul(rne, xnF.Or(xeF))
 	release(swOut, xwDown, xwF, nwOut, xsLeft, xsF, seOut, xnLeft, xeDown, xnF, xeF)
-	swOut, xwDown, xwF, nwOut, xsLeft, xsF = nil, nil, nil, nil, nil, nil
-	seOut, xnLeft, xeDown, xnF, xeF = nil, nil, nil, nil, nil
 
-	snw = ctx.inject(inQ, inNW, same, nil)
-	sne = ctx.inject(inQ, inNE, same, nil)
-	sse = ctx.inject(inQ, inSE, same, nil)
-	res = ctx.mul(snw, nwFull)
-	tne = ctx.mul(sne, neFull)
-	tse = ctx.mul(sse, seFull)
+	snw := ctx.inject(inQ, inNW, same, nil)
+	sne := ctx.inject(inQ, inNE, same, nil)
+	sse := ctx.inject(inQ, inSE, same, nil)
+	res := ctx.mul(snw, nwFull)
+	tne := ctx.mul(sne, neFull)
+	tse := ctx.mul(sse, seFull)
 	res.Or(tne).Or(tse)
 	release(snw, sne, sse, tne, tse, nwFull, neFull, swFull, seFull)
 	return res

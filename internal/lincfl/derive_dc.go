@@ -18,22 +18,9 @@ func DeriveDC(m *pram.Machine, g *grammar.Linear, w []byte) ([]Step, bool) {
 	if n == 0 {
 		return nil, false
 	}
-	ctx := newTraceCtx(m, g, w)
 	// The caches deliberately outlive the recursion for the extraction
-	// walk; on a cancellation abort nothing will walk them, so hand their
-	// slabs back to the arena before the unwind continues. (The matrix the
-	// combine helpers were building is released by their own defers.)
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, r := range ctx.triCache {
-				r.Release()
-			}
-			for _, r := range ctx.rectCache {
-				r.Release()
-			}
-			panic(rec)
-		}
-	}()
+	// walk; if the machine's Run unwinds, its scope releases them.
+	ctx := newTraceCtx(m, g, w)
 	reach := ctx.tri(0, n-1, 1)
 
 	in := triIn(0, n-1)
@@ -133,7 +120,7 @@ func (t *traceCtx) tri(lo, hi, depth int) *boolmat.Matrix {
 	}
 	var r *boolmat.Matrix
 	if lo == hi {
-		r = boolmat.Identity(t.k)
+		r = boolmat.Identity(t.m.Scope(), t.k)
 	} else {
 		mid := (lo + hi) / 2
 		rl := t.tri(lo, mid, depth+1)
@@ -158,7 +145,7 @@ func (t *traceCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 func (t *traceCtx) rectUncached(a, b, c, d, depth int) *boolmat.Matrix {
 	ctx := t.dcCtx
 	if a == b && c == d {
-		return boolmat.Identity(ctx.k)
+		return boolmat.Identity(ctx.m.Scope(), ctx.k)
 	}
 	// The combine helpers release their own intermediates; the children
 	// stay alive in the caches for the extraction walk.

@@ -76,6 +76,7 @@ type Dense struct {
 	// released flips on Release so double releases fail loudly.
 	pooled   bool
 	released bool
+	lease    pram.Lease // registration in the creating Run's scope
 }
 
 // New returns an R×C matrix of zeros.
@@ -89,17 +90,21 @@ func New(r, c int) *Dense {
 // NewFromPool returns an R×C zero matrix whose slab is drawn from the
 // workspace arena. Call Release when the matrix is no longer needed;
 // forgetting to is safe (the slab is simply collected) but forfeits the
-// reuse.
-func NewFromPool(r, c int) *Dense {
+// reuse. s is the scope of the machine the calling kernel runs on
+// (pram.Machine.Scope): if that Run unwinds before the matrix is
+// released, Run releases it. Callers with no machine pass nil.
+func NewFromPool(s *pram.Scope, r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic("matrix: negative dimension")
 	}
-	return &Dense{R: r, C: c, v: pool.Float64s(r * c), pooled: true}
+	d := &Dense{R: r, C: c, v: pool.Float64s(r * c), pooled: true}
+	s.Track(d, &d.lease)
+	return d
 }
 
 // NewInfFromPool returns a pool-backed R×C matrix filled with +∞.
-func NewInfFromPool(r, c int) *Dense {
-	d := NewFromPool(r, c)
+func NewInfFromPool(s *pram.Scope, r, c int) *Dense {
+	d := NewFromPool(s, r, c)
 	for i := range d.v {
 		d.v[i] = semiring.Inf
 	}
@@ -118,6 +123,7 @@ func (d *Dense) Release() {
 		panic("matrix: double release of Dense")
 	}
 	d.released = true
+	d.lease.Return()
 	if d.pooled {
 		pool.PutFloat64s(d.v)
 	}
@@ -214,9 +220,10 @@ func (d *Dense) String() string {
 type IntMat struct {
 	R, C int
 	v    []int32
-	// pooled/released: see Dense.
+	// pooled/released/lease: see Dense.
 	pooled   bool
 	released bool
+	lease    pram.Lease
 }
 
 // NewInt returns an R×C integer matrix of zeros.
@@ -229,11 +236,13 @@ func NewInt(r, c int) *IntMat {
 
 // NewIntFromPool returns an R×C zero integer matrix backed by the
 // workspace arena; see NewFromPool for the ownership contract.
-func NewIntFromPool(r, c int) *IntMat {
+func NewIntFromPool(s *pram.Scope, r, c int) *IntMat {
 	if r < 0 || c < 0 {
 		panic("matrix: negative dimension")
 	}
-	return &IntMat{R: r, C: c, v: pool.Int32s(r * c), pooled: true}
+	m := &IntMat{R: r, C: c, v: pool.Int32s(r * c), pooled: true}
+	s.Track(m, &m.lease)
+	return m
 }
 
 // Release returns the cut table's slab to the arena; the table must not
@@ -246,6 +255,7 @@ func (m *IntMat) Release() {
 		panic("matrix: double release of IntMat")
 	}
 	m.released = true
+	m.lease.Return()
 	if m.pooled {
 		pool.PutInt32s(m.v)
 	}

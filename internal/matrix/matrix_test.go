@@ -213,3 +213,34 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestScopeTracksPooledMatrices: pooled matrices made inside a Run are
+// released by its unwind unless already released; those still live when
+// Run returns normally belong to the caller.
+func TestScopeTracksPooledMatrices(t *testing.T) {
+	m := pram.New()
+	var kept *IntMat
+	if err := m.Run(func() {
+		kept = NewIntFromPool(m.Scope(), 3, 3)
+		NewInfFromPool(m.Scope(), 2, 2).Release()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if kept.released {
+		t.Fatal("normal Run exit released a result")
+	}
+	var live, done *Dense
+	func() {
+		defer func() { _ = recover() }()
+		_ = m.Run(func() {
+			live = NewFromPool(m.Scope(), 2, 2)
+			done = NewFromPool(m.Scope(), 2, 2)
+			done.Release()
+			panic("unwind")
+		})
+	}()
+	if !live.released || !done.released {
+		t.Fatalf("after unwind: live released=%v, done released=%v", live.released, done.released)
+	}
+	kept.Release() // detached from the first Run: must not touch the scope
+}

@@ -17,7 +17,7 @@ import (
 // for every sampled row at every column. When s reaches 1 this is the full
 // cut table. Output convention matches CutRecursive (-1 for all-∞ entries).
 func CutBottomUp(a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
-	c := newMulCtx(a, b, cnt)
+	c := newMulCtx(nil, a, b, cnt)
 	defer c.close()
 	p, q, r := a.R, a.C, b.C
 
@@ -28,7 +28,7 @@ func CutBottomUp(a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
 
 	// First level: Cut(A_mod s, B_mod s) by brute force over the coarse grid.
 	pg, rg := stridedCount(p, s), stridedCount(r, s)
-	grid := matrix.NewIntFromPool(pg, rg)
+	grid := matrix.NewIntFromPool(c.scope, pg, rg)
 	for ii := 0; ii < pg; ii++ {
 		for jj := 0; jj < rg; jj++ {
 			_, arg := c.scan(ii*s, jj*s, 0, q-1)
@@ -66,7 +66,7 @@ func widenColumns(c *mulCtx, grid *matrix.IntMat, rs, cs int) *matrix.IntMat {
 	p := stridedCount(c.a.R, rs)
 	r := c.b.C
 	q := c.a.C
-	out := matrix.NewIntFromPool(p, r)
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	for ii := 0; ii < p; ii++ {
 		for j := 0; j < r; j++ {
 			if j%cs == 0 {
@@ -96,7 +96,7 @@ func refineRows(c *mulCtx, rows *matrix.IntMat, s, sNext int) *matrix.IntMat {
 	p := stridedCount(c.a.R, sNext)
 	r := stridedCount(c.b.C, sNext)
 	q := c.a.C
-	out := matrix.NewIntFromPool(p, r)
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	for ii := 0; ii < p; ii++ {
 		i := ii * sNext
 		if i%s == 0 {

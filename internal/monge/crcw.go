@@ -21,7 +21,7 @@ import (
 // constant factor more than the scans, still O(n²) per level).
 func CutBottomUpCRCW(mach *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
 	defer mach.Phase("monge.CutBottomUpCRCW")()
-	c := newMulCtx(a, b, cnt)
+	c := newMulCtx(mach.Scope(), a, b, cnt)
 	defer c.close()
 	p, q, r := a.R, a.C, b.C
 
@@ -31,18 +31,7 @@ func CutBottomUpCRCW(mach *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount
 
 	// First level: brute grid, all entries minimized simultaneously.
 	pg, rg := stridedCount(p, s), stridedCount(r, s)
-	grid := matrix.NewIntFromPool(pg, rg)
-	// Cancellation unwinds through the multiMin statements below; release
-	// whichever level tables are live (normally-released ones are nil'd).
-	var rows, gridNext *matrix.IntMat
-	defer func() {
-		if rec := recover(); rec != nil {
-			grid.Release()
-			rows.Release()
-			gridNext.Release()
-			panic(rec)
-		}
-	}()
+	grid := matrix.NewIntFromPool(c.scope, pg, rg)
 	var entries []minEntry
 	for ii := 0; ii < pg; ii++ {
 		for jj := 0; jj < rg; jj++ {
@@ -53,18 +42,15 @@ func CutBottomUpCRCW(mach *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount
 		grid.Set(k/rg, k%rg, arg)
 	}
 
-	rows = widenColumnsCRCW(mach, c, grid, s, s)
+	rows := widenColumnsCRCW(mach, c, grid, s, s)
 	grid.Release()
-	grid = nil
 	for s > 1 {
 		sNext := 1 << (uint(e) / 2)
 		e /= 2
-		gridNext = refineRowsCRCW(mach, c, rows, s, sNext)
+		gridNext := refineRowsCRCW(mach, c, rows, s, sNext)
 		rows.Release()
-		rows = nil
 		rows = widenColumnsCRCW(mach, c, gridNext, sNext, sNext)
 		gridNext.Release()
-		gridNext = nil
 		s = sNext
 	}
 	return rows
@@ -214,13 +200,7 @@ func widenColumnsCRCW(mach *pram.Machine, c *mulCtx, grid *matrix.IntMat, rs, cs
 	p := stridedCount(c.a.R, rs)
 	r := c.b.C
 	q := c.a.C
-	out := matrix.NewIntFromPool(p, r)
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.Release()
-			panic(rec)
-		}
-	}()
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	var entries []minEntry
 	var where [][2]int
 	for ii := 0; ii < p; ii++ {
@@ -253,13 +233,7 @@ func refineRowsCRCW(mach *pram.Machine, c *mulCtx, rows *matrix.IntMat, s, sNext
 	p := stridedCount(c.a.R, sNext)
 	r := stridedCount(c.b.C, sNext)
 	q := c.a.C
-	out := matrix.NewIntFromPool(p, r)
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.Release()
-			panic(rec)
-		}
-	}()
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	var entries []minEntry
 	var where [][2]int
 	for ii := 0; ii < p; ii++ {

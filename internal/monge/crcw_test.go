@@ -80,7 +80,7 @@ func TestMultiMinAgainstScan(t *testing.T) {
 		p, q, r := 2+rng.Intn(20), 2+rng.Intn(20), 2+rng.Intn(20)
 		a, b := randomPair(rng, p, q, r)
 		var cnt matrix.OpCount
-		c := newMulCtx(a, b, &cnt)
+		c := newMulCtx(nil, a, b, &cnt)
 		var entries []minEntry
 		for i := 0; i < p; i++ {
 			for j := 0; j < r; j++ {

@@ -3,11 +3,14 @@ package monge
 import (
 	"partree/internal/matrix"
 	"partree/internal/pool"
+	"partree/internal/pram"
 	"partree/internal/semiring"
 )
 
 // mulCtx carries the shared state of one Cut(A,B) computation: the input
-// matrices, the comparison counter, and the finite-support envelopes.
+// matrices, the comparison counter, the finite-support envelopes, and the
+// scope its pooled cut tables are tracked in (nil for the serial entry
+// points, which run on no machine).
 //
 // The envelopes solve a practical problem with the paper's ∞-padded DP
 // matrices (A_h is +∞ outside the band 0 < j-i ≤ 2^h; M′ is +∞ below the
@@ -26,14 +29,15 @@ type mulCtx struct {
 	loA, hiA []int // per row of a: first/last finite column (q/-1 if none)
 	loB, hiB []int // per column of b: first/last finite row
 	cnt      *matrix.OpCount
+	scope    *pram.Scope
 }
 
-func newMulCtx(a, b *matrix.Dense, cnt *matrix.OpCount) *mulCtx {
+func newMulCtx(s *pram.Scope, a, b *matrix.Dense, cnt *matrix.OpCount) *mulCtx {
 	if a.C != b.R {
 		panic("monge: dimension mismatch")
 	}
 	c := &mulCtx{
-		a: a, b: b, cnt: cnt,
+		a: a, b: b, cnt: cnt, scope: s,
 		loA: pool.Ints(a.R), hiA: pool.Ints(a.R),
 		loB: pool.Ints(b.C), hiB: pool.Ints(b.C),
 	}

@@ -23,7 +23,7 @@ func stridedCount(n, stride int) int { return xmath.CeilDiv(n, stride) }
 // A[i][k]+B[k][j], or -1 if every candidate is +∞. For concave inputs the
 // result is identical to matrix.MulBrute's cut.
 func CutRecursive(a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
-	c := newMulCtx(a, b, cnt)
+	c := newMulCtx(nil, a, b, cnt)
 	defer c.close()
 	return cutRecStrided(c, 1, 1)
 }
@@ -37,7 +37,7 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	q := c.a.C
 
 	if p == 1 || r == 1 {
-		out := matrix.NewIntFromPool(p, r)
+		out := matrix.NewIntFromPool(c.scope, p, r)
 		for ii := 0; ii < p; ii++ {
 			for jj := 0; jj < r; jj++ {
 				_, arg := c.scan(ii*rs, jj*cs, 0, q-1)
@@ -52,7 +52,7 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 
 	// Cut(A_even, B) by interpolation: even view-rows, all view-columns.
 	pe := stridedCount(c.a.R, 2*rs)
-	eb := matrix.NewIntFromPool(pe, r)
+	eb := matrix.NewIntFromPool(c.scope, pe, r)
 	for ii := 0; ii < pe; ii++ {
 		for jj := 0; jj < r; jj++ {
 			if jj%2 == 0 {
@@ -77,7 +77,7 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	ee.Release()
 
 	// Cut(A, B) by interpolation: all view-rows from the even view-rows.
-	out := matrix.NewIntFromPool(p, r)
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	for ii := 0; ii < p; ii++ {
 		if ii%2 == 0 {
 			for jj := 0; jj < r; jj++ {

@@ -16,7 +16,7 @@ import (
 // costing O(log q) … O(q) each, the CREW time bound of Theorem 4.1 follows.
 func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
 	defer m.Phase("monge.MulPar")()
-	c := newMulCtx(a, b, cnt)
+	c := newMulCtx(m.Scope(), a, b, cnt)
 	defer c.close()
 	// The serial-cutover threshold is read once per product: levels with
 	// at most this many entries run the serial strided recursion in place
@@ -26,20 +26,7 @@ func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *
 	return cutRecStridedPar(m, c, 1, 1, engine.MongeSerialEntries())
 }
 
-func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matrix.IntMat) {
-	// A cancellation checkpoint inside any of the For calls below unwinds
-	// through this frame; the live pooled intermediates must go back to
-	// the arena on the way up (Release is nil-safe, and normally-released
-	// locals are nil'd so the abort path never double-releases).
-	var ee, eb *matrix.IntMat
-	defer func() {
-		if rec := recover(); rec != nil {
-			ee.Release()
-			eb.Release()
-			out.Release()
-			panic(rec)
-		}
-	}()
+func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) *matrix.IntMat {
 	faultpoint.Hit("monge.cutpar.level")
 
 	p := stridedCount(c.a.R, rs)
@@ -47,13 +34,13 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 	q := c.a.C
 
 	if serial > 0 && p*r <= serial {
-		out = cutRecStrided(c, rs, cs)
+		out := cutRecStrided(c, rs, cs)
 		m.Step(1)
 		return out
 	}
 
 	if p == 1 || r == 1 {
-		out = matrix.NewIntFromPool(p, r)
+		out := matrix.NewIntFromPool(c.scope, p, r)
 		m.For(p*r, func(e int) {
 			ii, jj := e/r, e%r
 			_, arg := c.scan(ii*rs, jj*cs, 0, q-1)
@@ -62,10 +49,10 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 		return out
 	}
 
-	ee = cutRecStridedPar(m, c, 2*rs, 2*cs, serial)
+	ee := cutRecStridedPar(m, c, 2*rs, 2*cs, serial)
 
 	pe := stridedCount(c.a.R, 2*rs)
-	eb = matrix.NewIntFromPool(pe, r)
+	eb := matrix.NewIntFromPool(c.scope, pe, r)
 	m.For(pe*r, func(e int) {
 		ii, jj := e/r, e%r
 		if jj%2 == 0 {
@@ -86,9 +73,8 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 	})
 	// For barriers before returning, so every reader of ee is done.
 	ee.Release()
-	ee = nil
 
-	out = matrix.NewIntFromPool(p, r)
+	out := matrix.NewIntFromPool(c.scope, p, r)
 	m.For(p*r, func(e int) {
 		ii, jj := e/r, e%r
 		if ii%2 == 0 {
@@ -108,7 +94,6 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 		out.Set(ii, jj, arg)
 	})
 	eb.Release()
-	eb = nil
 	return out
 }
 
@@ -119,14 +104,8 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 func MulPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.Dense, *matrix.IntMat) {
 	defer m.Phase("monge.MulPar")()
 	cut := CutRecursivePar(m, a, b, cnt)
-	out := matrix.NewInfFromPool(cut.R, cut.C)
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.Release()
-			cut.Release()
-			panic(rec)
-		}
-	}()
+	faultpoint.Hit("monge.mulpar.value")
+	out := matrix.NewInfFromPool(m.Scope(), cut.R, cut.C)
 	m.For(cut.R*cut.C, func(e int) {
 		i, j := e/cut.C, e%cut.C
 		if k := cut.At(i, j); k >= 0 {

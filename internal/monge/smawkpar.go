@@ -26,17 +26,11 @@ func CutSMAWKPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matr
 		panic("monge: dimension mismatch")
 	}
 	p, q, r := a.R, a.C, b.C
-	out := matrix.NewIntFromPool(p, r)
+	out := matrix.NewIntFromPool(m.Scope(), p, r)
 	if p == 0 || r == 0 {
 		return out
 	}
 	defer m.Phase("monge.CutSMAWKPar")()
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.Release()
-			panic(rec)
-		}
-	}()
 	block := engine.SMAWKRowBlock()
 	nb := (p + block - 1) / block
 	m.For(r*nb, func(e int) {

@@ -128,16 +128,6 @@ func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 	}
 	var cnt matrix.OpCount
 	cuts := make([]*matrix.IntMat, h)
-	var prod *matrix.Dense
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, c := range cuts {
-				c.Release()
-			}
-			prod.Release()
-			panic(rec)
-		}
-	}()
 	for t := 0; t < h; t++ {
 		faultpoint.Hit("obst.approx.level")
 		shifted := matrix.NewInf(nc+1, nc+1)
@@ -147,8 +137,7 @@ func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 				shifted.Set(a, k, e.At(a, k-1))
 			}
 		})
-		var cut *matrix.IntMat
-		prod, cut = monge.MulPar(m, shifted, e, &cnt)
+		prod, cut := monge.MulPar(m, shifted, e, &cnt)
 		cuts[t] = cut
 		next := matrix.NewInf(nc+1, nc+1)
 		m.For((nc+1)*(nc+1), func(idx int) {
@@ -162,7 +151,6 @@ func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 		})
 		e = next
 		prod.Release()
-		prod = nil
 	}
 
 	// Reconstruct the collapsed tree from the cut tables, then expand the
@@ -194,7 +182,6 @@ func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 	for _, c := range cuts {
 		c.Release()
 	}
-	cuts = nil
 
 	return &ApproxResult{
 		Tree:        t,

@@ -37,16 +37,6 @@ func HeightBounded(m *pram.Machine, in *Instance, h int) (float64, *tree.Node, e
 	}
 	var cnt matrix.OpCount
 	cuts := make([]*matrix.IntMat, h)
-	var prod *matrix.Dense
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, c := range cuts {
-				c.Release()
-			}
-			prod.Release()
-			panic(rec)
-		}
-	}()
 	for t := 0; t < h; t++ {
 		faultpoint.Hit("obst.height.level")
 		shifted := matrix.NewInf(n+1, n+1)
@@ -56,8 +46,7 @@ func HeightBounded(m *pram.Machine, in *Instance, h int) (float64, *tree.Node, e
 				shifted.Set(a, k, e.At(a, k-1))
 			}
 		})
-		var cut *matrix.IntMat
-		prod, cut = monge.MulPar(m, shifted, e, &cnt)
+		prod, cut := monge.MulPar(m, shifted, e, &cnt)
 		cuts[t] = cut
 		next := matrix.NewInf(n+1, n+1)
 		m.For((n+1)*(n+1), func(idx int) {
@@ -73,13 +62,11 @@ func HeightBounded(m *pram.Machine, in *Instance, h int) (float64, *tree.Node, e
 		})
 		e = next
 		prod.Release()
-		prod = nil
 	}
 	releaseCuts := func() {
 		for _, c := range cuts {
 			c.Release()
 		}
-		cuts = nil
 	}
 	cost := e.At(0, n)
 	if semiring.IsInf(cost) {

@@ -29,13 +29,21 @@
 // tests and the E11 before/after benches an unpooled baseline with the
 // identical code path.
 //
+// Ownership: kernels release their slabs on the normal path. Slabs held
+// by pooled matrices that a PRAM machine's Run is unwinding — a
+// cancellation abort or a panic — are released by that Run's workspace
+// scope (internal/pram), so an unwound call leaves the arena's get and
+// put counts equal; the kernels carry no unwind code of their own.
+//
 // Misuse detection: the `pooldebug` build tag arms a slab ledger that
 // panics on double release and poisons released slabs with sentinel
 // values so stale aliased views read garbage deterministically instead of
 // silently observing recycled data. The ledger is global — it tracks
 // membership in the arena as a whole, so a double release is caught even
-// when the two Puts land on different shards. Release builds pay nothing
-// for it.
+// when the two Puts land on different shards, and `make test-pooldebug`
+// runs it under the unwind paths too, where a scope that released a
+// workspace its kernel had already released would trip it. Release
+// builds pay nothing for it.
 package pool
 
 import (

@@ -2,7 +2,7 @@ package pram
 
 import "context"
 
-// Cooperative cancellation.
+// Cooperative cancellation and the unwind contract.
 //
 // A Machine optionally carries a context.Context; when it does, the
 // orchestrating goroutine polls it at statement barriers — on entry to
@@ -10,10 +10,16 @@ import "context"
 // serial fast path polls between grain-sized chunks. Worker goroutines
 // additionally poll at their pop/steal boundaries and simply stop taking
 // work; only the orchestrator unwinds, by panicking with an *abortPanic
-// that Run converts back into the context's error. Kernels holding pooled
-// workspaces across statements install recover-release-repanic defers so
-// the unwind returns every slab to the arena (the pooldebug ledger stays
-// balanced across an abort).
+// that Run converts back into the context's error.
+//
+// Run is the one unwind path. Kernels release their pooled workspaces
+// explicitly on the normal path; on any unwind — a cancellation abort or
+// a foreign panic — Run releases every workspace still registered in the
+// machine's Scope (scope.go), restores the phase labels the unwound
+// frames had pushed, and then returns ctx.Err() or re-panics with the
+// original value. A panic in a For body on a worker goroutine is captured
+// at the statement barrier and re-raised on the orchestrator (sched.go),
+// so it unwinds through Run like any other.
 //
 // Barriers are the cheap place to poll: the fast path with no context
 // attached is a single nil check (no allocation, no atomic), polling
@@ -58,9 +64,8 @@ func (m *Machine) Err() error {
 func (m *Machine) Canceled() bool { return m.Err() != nil }
 
 // checkpoint aborts the current computation if the attached context is
-// done. It must only run on the orchestrating goroutine (the one inside
-// Run): the abort is a panic, and a panic on a worker goroutine would
-// kill the process instead of unwinding to Run's recover.
+// done. It runs on the orchestrating goroutine (the one inside Run), at
+// statement boundaries.
 func (m *Machine) checkpoint() {
 	if m.ctx == nil {
 		return
@@ -72,11 +77,24 @@ func (m *Machine) checkpoint() {
 
 // Run executes f, converting a cancellation unwind from one of f's
 // checkpoints into that context's error (context.Canceled or
-// context.DeadlineExceeded). All other panics propagate unchanged. On a
-// non-nil return the machine's statement may have been cut mid-flight:
-// discard the machine and whatever f was computing.
+// context.DeadlineExceeded). All other panics propagate unchanged, after
+// the same cleanup: on any unwind Run releases the pooled workspaces
+// still registered in the machine's Scope and pops the phase labels the
+// unwound frames left pushed. On a non-nil return the machine's statement
+// may have been cut mid-flight: discard the machine and whatever f was
+// computing.
 func (m *Machine) Run(f func()) (err error) {
+	mark := m.scope.enter()
+	phases := len(m.phaseStack)
+	done := false
 	defer func() {
+		m.scope.exit(mark, !done)
+		if done {
+			return
+		}
+		for len(m.phaseStack) > phases {
+			m.restorePhase()
+		}
 		if r := recover(); r != nil {
 			ap, ok := r.(*abortPanic)
 			if !ok {
@@ -86,5 +104,6 @@ func (m *Machine) Run(f func()) (err error) {
 		}
 	}()
 	f()
+	done = true
 	return nil
 }

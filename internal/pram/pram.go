@@ -96,6 +96,10 @@ type Machine struct {
 	// compare per statement.
 	ctx context.Context
 
+	// scope tracks the pooled workspaces live in the current Run and
+	// releases them if Run unwinds (see scope.go).
+	scope Scope
+
 	// tracer, when non-nil, receives one span per Phase window and one
 	// slice per worker per statement (see trace.go). Nil — the default —
 	// costs one pointer compare per statement and per Phase call.
@@ -416,13 +420,19 @@ func (m *Machine) forChunked(n int, body func(lo, hi int)) {
 	exact := m.tracer != nil
 	var st stmtStats
 	var ws []workerStats
+	var rec any
 	if m.spawnDispatch {
-		st, ws = runSpawn(n, w, g, body, done, start)
+		st, ws, rec = runSpawn(n, w, g, body, done, start)
 	} else {
 		if m.pool == nil {
 			m.pool = newWPool(m.workers, m.idleTimeout)
 		}
-		st, ws = m.pool.run(n, w, g, body, done, start, exact)
+		st, ws, rec = m.pool.run(n, w, g, body, done, start, exact)
+	}
+	if rec != nil {
+		// A body panicked on some worker; the barrier has released with
+		// every worker parked, so the panic can unwind from here.
+		panic(rec)
 	}
 	// Workers bail at pop/steal boundaries once the context is done,
 	// abandoning unexecuted chunks; the statement is then incomplete, so

@@ -145,6 +145,38 @@ func aggregate(ws []workerStats) stmtStats {
 	return st
 }
 
+// halt is one statement's early-exit state: the cancellation signal and
+// the first panic raised by a body on any worker. Workers poll it at
+// their pop/steal boundaries and stop taking chunks once either fires.
+type halt struct {
+	done     <-chan struct{} // closed when the machine's context is done; nil without one
+	panicked atomic.Bool
+	val      any // the first captured panic value; read after the barrier
+}
+
+// stopped reports whether workers should abandon the statement.
+func (h *halt) stopped() bool {
+	if h.panicked.Load() {
+		return true
+	}
+	if h.done == nil {
+		return false
+	}
+	select {
+	case <-h.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// capture records r if it is the statement's first body panic.
+func (h *halt) capture(r any) {
+	if h.panicked.CompareAndSwap(false, true) {
+		h.val = r
+	}
+}
+
 // runSpawn executes body over [0, n) on w workers (the caller is worker
 // 0) with chunk size g: the legacy dispatcher that allocates fresh
 // deque/stat slices and spawns w-1 goroutines for every statement, with
@@ -154,25 +186,27 @@ func aggregate(ws []workerStats) stmtStats {
 // spans and worker finish times share one zero point. done, when
 // non-nil, is a cancellation signal: workers stop taking new chunks once
 // it is closed (the orchestrator detects the resulting incomplete
-// statement at the barrier and unwinds — see Machine.checkpoint).
-func runSpawn(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time) (stmtStats, []workerStats) {
+// statement at the barrier and unwinds — see Machine.checkpoint). The
+// third result is the first body panic, for the caller to re-raise.
+func runSpawn(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time) (stmtStats, []workerStats, any) {
 	dq := make([]wdeque, w)
 	partition(dq, n, w)
 
 	ws := make([]workerStats, w)
+	h := &halt{done: done}
 	var wg sync.WaitGroup
 	spawnedWorkers.Add(int64(w - 1))
 	for i := 1; i < w; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			worker(id, dq, g, body, &ws[id], start, done, true)
+			worker(id, dq, g, body, &ws[id], start, h, true)
 		}(i)
 	}
-	worker(0, dq, g, body, &ws[0], start, done, true)
+	worker(0, dq, g, body, &ws[0], start, h, true)
 	wg.Wait()
 
-	return aggregate(ws), ws
+	return aggregate(ws), ws, h.val
 }
 
 // partition installs the statement's even initial split: one contiguous
@@ -197,6 +231,13 @@ func partition(dq []wdeque, n, w int) {
 // grain is executed before anything else can steal it back (see the
 // package comment on livelock freedom).
 //
+// A panicking body does not escape: worker captures the first panic into
+// h, which stops every other worker at its next pop/steal boundary the
+// way cancellation does, and returns normally so the statement barrier
+// still releases. The orchestrator re-raises the value after the
+// barrier, where it unwinds through Run (a panic left on a worker
+// goroutine would kill the process).
+//
 // exact selects the timing discipline. Exact — required when a tracer is
 // armed, and the legacy dispatcher's only mode — brackets every body
 // chunk and every steal hunt with clock reads, so per-worker busy time
@@ -208,24 +249,24 @@ func partition(dq []wdeque, n, w int) {
 // steps/work/steals/elems stay exact. For the small statements that
 // dominate service traffic the clock reads are the dispatch hot path —
 // see EXPERIMENTS.md E14.
-func worker(id int, dq []wdeque, g int, body func(lo, hi int), ws *workerStats, start time.Time, done <-chan struct{}, exact bool) {
+func worker(id int, dq []wdeque, g int, body func(lo, hi int), ws *workerStats, start time.Time, h *halt, exact bool) {
 	seed := uint32(id)*2654435761 + 1
 	t0 := start
 	if !exact {
 		t0 = time.Now()
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			h.capture(r)
+		}
+		finish(ws, start, t0, exact)
+	}()
 	for {
-		if done != nil {
-			select {
-			case <-done:
-				// Cooperative bail before the next pop or steal. No panic
-				// here — a panic on a worker goroutine would kill the
-				// process; leftover chunks are abandoned and the
-				// orchestrator aborts at the barrier.
-				finish(ws, start, t0, exact)
-				return
-			default:
-			}
+		if h.stopped() {
+			// Cooperative bail before the next pop or steal: leftover
+			// chunks are abandoned, and the orchestrator re-raises the
+			// captured panic or aborts on the context at the barrier.
+			return
 		}
 		lo, hi, ok := dq[id].pop(g)
 		if !ok {
@@ -262,7 +303,6 @@ func worker(id int, dq []wdeque, g int, body func(lo, hi int), ws *workerStats, 
 		}
 		ws.elems += hi - lo
 	}
-	finish(ws, start, t0, exact)
 }
 
 // finish closes out a worker's timing. Amortized mode derives busy from

@@ -35,12 +35,13 @@ import (
 // operations on the dispatch path and an idle pool drains to zero
 // goroutines within two timeout periods.
 //
-// Memory visibility: the statement parameters (body, grain, width, done,
+// Memory visibility: the statement parameters (body, grain, width, halt,
 // start, exact) are plain fields written by the orchestrator before the
 // wake send and read by the worker after the wake receive; the channel
 // send/receive pair (or the go statement, for a fresh spawn) is the
 // happens-before edge. The barrier's wg.Done/Wait edge makes the
-// workers' stat writes visible to the orchestrator's aggregation.
+// workers' stat writes (and a captured panic) visible to the
+// orchestrator's aggregation.
 //
 // Statements never run concurrently on one Machine (Machine.running
 // enforces that), so the orchestrator is the only waker and close never
@@ -79,7 +80,7 @@ type wpool struct {
 	g     int
 	exact bool
 	body  func(lo, hi int)
-	done  <-chan struct{}
+	halt  halt
 	start time.Time
 
 	dq    []wdeque
@@ -108,7 +109,7 @@ func newWPool(workers int, idle time.Duration) *wpool {
 
 // run executes one parallel statement on w ≤ p.workers workers with the
 // same contract as runSpawn, reusing the pool's slices and goroutines.
-func (p *wpool) run(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time, exact bool) (stmtStats, []workerStats) {
+func (p *wpool) run(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time, exact bool) (stmtStats, []workerStats, any) {
 	partition(p.dq[:w], n, w)
 	// Deques beyond this statement's width must read empty to thieves: a
 	// narrower statement after a cancelled wider one would otherwise
@@ -121,16 +122,20 @@ func (p *wpool) run(n, w, g int, body func(lo, hi int), done <-chan struct{}, st
 		p.ws[i] = workerStats{}
 	}
 	p.wStmt, p.g, p.exact = w, g, exact
-	p.body, p.done, p.start = body, done, start
+	p.body, p.start = body, start
+	p.halt.done = done
+	p.halt.panicked.Store(false)
 
 	p.wg.Add(w - 1)
 	for s := 0; s < w-1; s++ {
 		p.wakeSlot(s)
 	}
-	worker(0, p.dq[:w], g, body, &p.ws[0], start, done, exact)
+	worker(0, p.dq[:w], g, body, &p.ws[0], start, &p.halt, exact)
 	p.wg.Wait()
 
-	return aggregate(p.ws[:w]), p.ws[:w]
+	rec := p.halt.val
+	p.halt.val = nil // the pooled machine must not keep the panic value alive
+	return aggregate(p.ws[:w]), p.ws[:w], rec
 }
 
 // wakeSlot hands the pending statement to slot s's resident goroutine,
@@ -161,7 +166,7 @@ func (p *wpool) resident(s int) {
 	defer timer.Stop()
 	active := true // did a statement run since the timer last fired?
 	for {
-		worker(id, p.dq[:p.wStmt], p.g, p.body, &p.ws[id], p.start, p.done, p.exact)
+		worker(id, p.dq[:p.wStmt], p.g, p.body, &p.ws[id], p.start, &p.halt, p.exact)
 		sl.state.Store(slotParked) // must precede Done: after the barrier the orchestrator may wake us again
 		p.wg.Done()
 		active = true

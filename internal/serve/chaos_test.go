@@ -313,3 +313,42 @@ func TestChaosDeadlineHeaderCannotExtend(t *testing.T) {
 		t.Errorf("requests.huffman.timeouts = %d, want >= 1", n)
 	}
 }
+
+// TestChaosWorkerPanicFailsOnlyItsBatch: an engine panic inside the batch
+// statement's body, on the PRAM worker goroutines, fails that batch with
+// structured 500s; the process survives and the next batch is served
+// correctly.
+func TestChaosWorkerPanicFailsOnlyItsBatch(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		MaxBatch: 4, Linger: 30 * time.Millisecond, CacheSize: -1, Workers: 4,
+	})
+	faultpoint.Set("batch.huffman.job", func(...any) { panic("engine bug") })
+	t.Cleanup(faultpoint.Reset)
+
+	var wg sync.WaitGroup
+	status := make([]int, 4)
+	bodies := make([][]byte, 4)
+	for i := range status {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			status[i], bodies[i], _ = post(t, ts.Client(), ts.URL+"/v1/huffman", codingRequest{Weights: []float64{1, 2, 3, float64(i + 4)}})
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range status {
+		if st != http.StatusInternalServerError {
+			t.Errorf("request %d: status %d (%s), want 500", i, st, bodies[i])
+		} else if code := errCode(t, bodies[i]); code != "internal" {
+			t.Errorf("request %d: code %q, want \"internal\"", i, code)
+		}
+	}
+
+	faultpoint.Reset()
+	good := []float64{5, 4, 3, 2, 1}
+	st, body, _ := post(t, ts.Client(), ts.URL+"/v1/huffman", codingRequest{Weights: good})
+	if st != http.StatusOK {
+		t.Fatalf("request after the panicking batch: status %d (%s)", st, body)
+	}
+	checkHuffman(t, body, good)
+}

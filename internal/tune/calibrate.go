@@ -316,6 +316,7 @@ func measureDispatch(reps int, inlineNs float64) float64 {
 func measureSteal() float64 {
 	m := pram.New(pram.WithWorkers(2), pram.WithGrain(1))
 	defer m.Close()
+	var accs [4]float64 // one slot per heavy index: bodies on different workers never share a word
 	for it := 0; it < 8; it++ {
 		m.For(256, func(i int) {
 			if i%64 == 0 {
@@ -323,9 +324,12 @@ func measureSteal() float64 {
 				for k := 0; k < 2_000; k++ {
 					acc += float64(k) * 1.0000001
 				}
-				sink += acc
+				accs[i/64] += acc
 			}
 		})
+	}
+	for _, a := range accs {
+		sink += a
 	}
 	s := m.Stats()
 	if s.Steals == 0 {

@@ -1,12 +1,14 @@
 package partree
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"partree/internal/engine"
 	"partree/internal/pram"
+	"partree/internal/trace"
 )
 
 // Machine reuse. Every facade entry point used to construct a fresh
@@ -110,8 +112,10 @@ func (o Options) key() machineKey {
 // acquire returns a machine for this Options shape and the release that
 // must be called (exactly once, usually deferred) when the call's stats
 // have been read. Read Stats/statsOf before release runs: release scrubs
-// the machine for the next caller.
-func (o Options) acquire() (*pram.Machine, func()) {
+// the machine for the next caller. The machine carries ctx for
+// cooperative cancellation, and tracing is armed from Options.Trace or,
+// failing that, the context.
+func (o Options) acquire(ctx context.Context) (*pram.Machine, func()) {
 	key := o.key()
 	machines.mu.Lock()
 	var m *pram.Machine
@@ -131,6 +135,12 @@ func (o Options) acquire() (*pram.Machine, func()) {
 		machines.reused.Add(1)
 		if o.Trace != nil {
 			m.SetTracer(o.Trace)
+		}
+	}
+	m.SetContext(ctx)
+	if o.Trace == nil {
+		if tr := trace.FromContext(ctx); tr != nil {
+			m.SetTracer(tr)
 		}
 	}
 

@@ -46,18 +46,3 @@ func TraceContext(ctx context.Context, tr *Trace) context.Context {
 func TraceFromContext(ctx context.Context) *Trace {
 	return trace.FromContext(ctx)
 }
-
-// acquireContext builds the machine for a *Context entry point: a pooled
-// Options machine (see machinepool.go) with ctx attached for cooperative
-// cancellation, and tracing armed from Options.Trace or, failing that,
-// the context. The returned release follows acquire's contract.
-func (o Options) acquireContext(ctx context.Context) (*pramMachine, func()) {
-	m, release := o.acquire()
-	m.SetContext(ctx)
-	if o.Trace == nil {
-		if tr := trace.FromContext(ctx); tr != nil {
-			m.SetTracer(tr)
-		}
-	}
-	return m, release
-}
