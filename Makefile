@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-perfbench check vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
+.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-perfbench test-stress check vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
 
 all: build vet test
 
-check: build vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-perfbench fuzz-smoke bench-gate-quick
+check: build vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster test-stress test-perfbench fuzz-smoke bench-gate-quick
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ test-chaos:
 # that performs those releases.
 test-pooldebug:
 	$(GO) test -tags pooldebug . ./internal/pool ./internal/pram ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/hufpar ./internal/obst ./internal/serve ./internal/cluster
+
+# Stress the hedging and single-flight paths: the gateway tests that
+# race hedged duplicates of one key across backends, and the result
+# cache's single-flight tests, 30 times each under -race, so a rare
+# interleaving fails here instead of as a one-off flake.
+test-stress:
+	$(GO) test -race -count=30 -run 'TestGatewayConcurrentMixedLoad|TestChaosHedgeSingleFlight' ./internal/cluster
+	$(GO) test -race -count=30 -run 'TestCacheCanceledLeaderDoesNotPoisonFollowers|TestCacheExpiredLeaderHandsOver|TestCacheLastCallerCancelsFlight|TestCachePanicWakesWaiters' ./internal/serve
 
 # perfbench is its own module (it imports internal packages through a
 # replace directive), so ./... at the root does not reach it; build and

@@ -56,39 +56,24 @@ func HuffmanBatch(jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stat
 // returns (nil, Stats, ctx.Err()). Jobs that already ran are discarded —
 // a batch is one statement, not a resumable stream.
 func HuffmanBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stats, error) {
-	return run(ctx, opts, func(m *pram.Machine) []HuffmanBatchResult { return huffmanBatchOn(m, jobs) })
+	return run(ctx, opts, func(m *pram.Machine) []HuffmanBatchResult { return batchOn(m, "batch.huffman", jobs, huffmanJob) })
 }
 
-func huffmanBatchOn(m *pram.Machine, jobs [][]float64) []HuffmanBatchResult {
-	out := make([]HuffmanBatchResult, len(jobs))
-	restore := m.Phase("batch.huffman")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.huffman.job", i)
-		}
-		w := jobs[i]
-		if len(w) == 0 {
-			out[i].Err = ErrEmptyJob
-			return
-		}
-		t := HuffmanTree(w)
-		lengths := huffman.CodeLengths(t, len(w))
-		codes, err := huffman.Canonical(lengths)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		cost := 0.0
-		for k, l := range lengths {
-			cost += w[k] * float64(l)
-		}
-		out[i] = HuffmanBatchResult{Lengths: lengths, Codes: codes, Cost: cost}
-	})
-	restore()
-	return out
+func huffmanJob(w []float64) HuffmanBatchResult {
+	if len(w) == 0 {
+		return HuffmanBatchResult{Err: ErrEmptyJob}
+	}
+	t := HuffmanTree(w)
+	lengths := huffman.CodeLengths(t, len(w))
+	codes, err := huffman.Canonical(lengths)
+	if err != nil {
+		return HuffmanBatchResult{Err: err}
+	}
+	cost := 0.0
+	for k, l := range lengths {
+		cost += w[k] * float64(l)
+	}
+	return HuffmanBatchResult{Lengths: lengths, Codes: codes, Cost: cost}
 }
 
 // ShannonFanoBatchResult is one job's output from ShannonFanoBatch.
@@ -112,44 +97,30 @@ func ShannonFanoBatch(jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResu
 // ShannonFanoBatchContext is ShannonFanoBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func ShannonFanoBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResult, Stats, error) {
-	return run(ctx, opts, func(m *pram.Machine) []ShannonFanoBatchResult { return shannonFanoBatchOn(m, jobs) })
+	return run(ctx, opts, func(m *pram.Machine) []ShannonFanoBatchResult {
+		return batchOn(m, "batch.shannonfano", jobs, shannonFanoJob)
+	})
 }
 
-func shannonFanoBatchOn(m *pram.Machine, jobs [][]float64) []ShannonFanoBatchResult {
-	out := make([]ShannonFanoBatchResult, len(jobs))
-	restore := m.Phase("batch.shannonfano")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
+func shannonFanoJob(p []float64) ShannonFanoBatchResult {
+	if len(p) == 0 {
+		return ShannonFanoBatchResult{Err: ErrEmptyJob}
+	}
+	for k, v := range p {
+		if !(v > 0 && v <= 1) || math.IsNaN(v) {
+			return ShannonFanoBatchResult{Err: fmt.Errorf("partree: probability %v at %d outside (0,1]", v, k)}
 		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.shannonfano.job", i)
-		}
-		p := jobs[i]
-		if len(p) == 0 {
-			out[i].Err = ErrEmptyJob
-			return
-		}
-		for k, v := range p {
-			if !(v > 0 && v <= 1) || math.IsNaN(v) {
-				out[i].Err = fmt.Errorf("partree: probability %v at %d outside (0,1]", v, k)
-				return
-			}
-		}
-		lengths := shannonfano.Lengths(p)
-		codes, err := huffman.Canonical(lengths)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		avg := 0.0
-		for k, l := range lengths {
-			avg += p[k] * float64(l)
-		}
-		out[i] = ShannonFanoBatchResult{Lengths: lengths, Codes: codes, AverageLength: avg}
-	})
-	restore()
-	return out
+	}
+	lengths := shannonfano.Lengths(p)
+	codes, err := huffman.Canonical(lengths)
+	if err != nil {
+		return ShannonFanoBatchResult{Err: err}
+	}
+	avg := 0.0
+	for k, l := range lengths {
+		avg += p[k] * float64(l)
+	}
+	return ShannonFanoBatchResult{Lengths: lengths, Codes: codes, AverageLength: avg}
 }
 
 // PatternBatchResult is one job's output from TreeFromDepthsBatch.
@@ -172,24 +143,14 @@ func TreeFromDepthsBatch(jobs [][]int, opts ...Options) ([]PatternBatchResult, S
 // TreeFromDepthsBatchContext is TreeFromDepthsBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func TreeFromDepthsBatchContext(ctx context.Context, jobs [][]int, opts ...Options) ([]PatternBatchResult, Stats, error) {
-	return run(ctx, opts, func(m *pram.Machine) []PatternBatchResult { return treeFromDepthsBatchOn(m, jobs) })
+	return run(ctx, opts, func(m *pram.Machine) []PatternBatchResult {
+		return batchOn(m, "batch.leafpattern", jobs, treeFromDepthsJob)
+	})
 }
 
-func treeFromDepthsBatchOn(m *pram.Machine, jobs [][]int) []PatternBatchResult {
-	out := make([]PatternBatchResult, len(jobs))
-	restore := m.Phase("batch.leafpattern")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.leafpattern.job", i)
-		}
-		t, err := leafpattern.Greedy(jobs[i])
-		out[i] = PatternBatchResult{Tree: t, Err: err}
-	})
-	restore()
-	return out
+func treeFromDepthsJob(depths []int) PatternBatchResult {
+	t, err := leafpattern.Greedy(depths)
+	return PatternBatchResult{Tree: t, Err: err}
 }
 
 // BSTBatchResult is one job's output from OptimalBSTBatch.
@@ -211,24 +172,12 @@ func OptimalBSTBatch(jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, St
 // OptimalBSTBatchContext is OptimalBSTBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func OptimalBSTBatchContext(ctx context.Context, jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, Stats, error) {
-	return run(ctx, opts, func(m *pram.Machine) []BSTBatchResult { return optimalBSTBatchOn(m, jobs) })
+	return run(ctx, opts, func(m *pram.Machine) []BSTBatchResult { return batchOn(m, "batch.obst", jobs, optimalBSTJob) })
 }
 
-func optimalBSTBatchOn(m *pram.Machine, jobs []*BSTInstance) []BSTBatchResult {
-	out := make([]BSTBatchResult, len(jobs))
-	restore := m.Phase("batch.obst")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.obst.job", i)
-		}
-		cost, t := obst.Knuth(jobs[i])
-		out[i] = BSTBatchResult{Cost: cost, Tree: t}
-	})
-	restore()
-	return out
+func optimalBSTJob(in *BSTInstance) BSTBatchResult {
+	cost, t := obst.Knuth(in)
+	return BSTBatchResult{Cost: cost, Tree: t}
 }
 
 // LinCFLBatchJob is one recognition query: is Word in L(Grammar)?
@@ -248,20 +197,29 @@ func RecognizeLinearBatch(jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats
 // RecognizeLinearBatchContext is RecognizeLinearBatch under a context;
 // see HuffmanBatchContext for the cancellation contract.
 func RecognizeLinearBatchContext(ctx context.Context, jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats, error) {
-	return run(ctx, opts, func(m *pram.Machine) []bool { return recognizeLinearBatchOn(m, jobs) })
+	return run(ctx, opts, func(m *pram.Machine) []bool { return batchOn(m, "batch.lincfl", jobs, recognizeLinearJob) })
 }
 
-func recognizeLinearBatchOn(m *pram.Machine, jobs []LinCFLBatchJob) []bool {
-	out := make([]bool, len(jobs))
-	restore := m.Phase("batch.lincfl")
+func recognizeLinearJob(job LinCFLBatchJob) bool {
+	return lincfl.Sequential(job.Grammar, job.Word)
+}
+
+// batchOn is the one batch loop behind every *BatchContext entry point:
+// a single parallel statement over the jobs under the phase label, each
+// job solved by its serial oracle. A job that starts after the run was
+// canceled is skipped (the run then aborts at its next checkpoint), and
+// armed fault injection hits "<label>.job" before each job.
+func batchOn[J, R any](m *pram.Machine, label string, jobs []J, solve func(J) R) []R {
+	out := make([]R, len(jobs))
+	restore := m.Phase(label)
 	m.For(len(jobs), func(i int) {
 		if m.Canceled() {
 			return
 		}
 		if faultpoint.Armed() {
-			faultpoint.Hit("batch.lincfl.job", i)
+			faultpoint.Hit(label+".job", i)
 		}
-		out[i] = lincfl.Sequential(jobs[i].Grammar, jobs[i].Word)
+		out[i] = solve(jobs[i])
 	})
 	restore()
 	return out

@@ -129,6 +129,15 @@ type Machine struct {
 	// it once keeps the hot kernels' per-call Phase bookkeeping
 	// allocation-free.
 	restorePhase func()
+
+	// forElems is the range adapter every parallel For hands the
+	// scheduler, built once in New like restorePhase: a per-statement
+	// closure over the element body would escape to the heap. It runs
+	// elemBody, which forChunked sets only after the running-guard CAS,
+	// so a nested For cannot overwrite the body of the statement in
+	// flight.
+	forElems func(lo, hi int)
+	elemBody func(i int)
 }
 
 // Option configures a Machine.
@@ -231,6 +240,12 @@ func New(opts ...Option) *Machine {
 			m.closePhaseSpan(ended, n)
 		}
 		m.statsMu.Unlock()
+	}
+	m.forElems = func(lo, hi int) {
+		body := m.elemBody
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
 	}
 	for _, o := range opts {
 		o(m)
@@ -349,11 +364,7 @@ func (m *Machine) For(n int, body func(i int)) {
 		}
 		return
 	}
-	m.forChunked(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
+	m.forChunked(n, m.forElems, body)
 }
 
 // ForRange executes body(lo, hi) on contiguous sub-ranges covering [0, n).
@@ -362,11 +373,13 @@ func (m *Machine) For(n int, body func(i int)) {
 // per grain-sized chunk (at least one per executing worker), so bodies must
 // tolerate any number of calls.
 func (m *Machine) ForRange(n int, body func(lo, hi int)) {
-	m.forChunked(n, body)
+	m.forChunked(n, body, nil)
 }
 
-// forChunked is the shared scheduling core of For and ForRange.
-func (m *Machine) forChunked(n int, body func(lo, hi int)) {
+// forChunked is the shared scheduling core of For and ForRange. For
+// passes its element body as elem with body = m.forElems; ForRange
+// passes its range body and a nil elem.
+func (m *Machine) forChunked(n int, body func(lo, hi int), elem func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -374,7 +387,8 @@ func (m *Machine) forChunked(n int, body func(lo, hi int)) {
 	if !m.running.CompareAndSwap(false, true) {
 		panic("pram: nested or concurrent For on the same Machine")
 	}
-	defer m.running.Store(false)
+	m.elemBody = elem
+	defer m.endStatement()
 
 	steps := int64((n + m.procs - 1) / m.procs)
 
@@ -443,4 +457,12 @@ func (m *Machine) forChunked(n int, body func(lo, hi int)) {
 	if m.tracer != nil {
 		m.emitWorkerSpans(start, ws)
 	}
+}
+
+// endStatement clears the finished statement's element body, so the
+// machine does not keep its closure alive, and releases the running
+// guard.
+func (m *Machine) endStatement() {
+	m.elemBody = nil
+	m.running.Store(false)
 }

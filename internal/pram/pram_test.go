@@ -168,3 +168,16 @@ func TestNestedForRangePanics(t *testing.T) {
 		m.ForRange(2, func(lo, hi int) {})
 	})
 }
+
+// TestParallelForSteadyStateAllocs: once the resident pool is warm, a
+// parallel For statement allocates nothing — the element-body range
+// adapter is built once per Machine, not once per statement.
+func TestParallelForSteadyStateAllocs(t *testing.T) {
+	m := New(WithWorkers(2), WithGrain(4))
+	sink := make([]int, 64)
+	body := func(i int) { sink[i] = i }
+	m.For(len(sink), body) // start the resident workers
+	if avg := testing.AllocsPerRun(100, func() { m.For(len(sink), body) }); avg != 0 {
+		t.Fatalf("steady-state parallel For allocates %.1f per statement, want 0", avg)
+	}
+}

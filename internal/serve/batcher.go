@@ -59,6 +59,9 @@ type batcher[Req, Resp any] struct {
 	queue  chan *pending[Req, Resp]
 	quit   chan struct{}
 	done   chan struct{}
+	// flush, closed by Flush, cuts every batch without lingering.
+	flush     chan struct{}
+	flushOnce sync.Once
 
 	// reqScratch is the request buffer handed to exec, reused across
 	// batches. Only the collector goroutine touches it, and exec runs
@@ -111,6 +114,7 @@ func newBatcher[Req, Resp any](name string, maxBatch int, linger time.Duration, 
 		exec:     exec,
 		queue:    make(chan *pending[Req, Resp], queueDepth),
 		quit:     make(chan struct{}),
+		flush:    make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	go b.loop()
@@ -145,6 +149,10 @@ func (b *batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) 
 		return zero, ctx.Err()
 	}
 }
+
+// Flush makes the batcher stop lingering: the open batch and every later
+// one cut at once (as drain cuts). Idempotent.
+func (b *batcher[Req, Resp]) Flush() { b.flushOnce.Do(func() { close(b.flush) }) }
 
 // Close stops admission, drains every queued job into final batches,
 // waits for them to execute, and returns. Idempotent.
@@ -204,6 +212,8 @@ func (b *batcher[Req, Resp]) collect(batch []*pending[Req, Resp]) ([]*pending[Re
 		case <-b.quit:
 			// Shutdown while lingering: cut immediately; the remaining
 			// queue is handled by drain after loop observes quit.
+			return batch, "drain"
+		case <-b.flush:
 			return batch, "drain"
 		}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -35,7 +36,17 @@ type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+
+	// callers counts the callers still waiting on the flight: its
+	// starter and every collapsed waiter. Guarded by lruCache.mu. The
+	// last one to leave cancels the compute through cancel.
+	callers int
+	cancel  context.CancelFunc
 }
+
+// errFlightPanic is what the waiters of a flight get when its compute
+// panicked; the panic itself unwinds the caller that ran it.
+var errFlightPanic = errors.New("serve: panic while computing a shared result")
 
 // newLRUCache returns a cache holding at most capacity entries;
 // capacity must be ≥ 1 (a disabled cache is a nil *lruCache, on which Do
@@ -81,36 +92,94 @@ func (c *lruCache) counters() CacheCounters {
 // waiter but never cached. hit reports whether the value came from the
 // cache or from another caller's flight rather than from this caller's
 // own compute.
-func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, error)) (val any, hit bool, err error) {
+//
+// compute runs under its starter's deadline but not its cancellation: a
+// starter that hangs up — a client gone, a hedge loser canceled by the
+// gateway — still finishes the flight while another caller waits on it,
+// so that caller gets the value and the key is computed once; the
+// starter itself then gets its own ctx.Err(). Once every caller has
+// left, the compute is canceled. A waiter whose ctx is still live when
+// the flight fails with a context error (the starter's deadline ran out)
+// takes the flight over instead of inheriting that error.
+func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
 	if c == nil {
-		v, err := compute()
+		v, err := compute(ctx)
 		return v, false, err
 	}
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
+	for {
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.hits++
+			v := el.Value.(*cacheEntry).val
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break
+		}
 		c.collapses++
+		f.callers++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
+			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+				// Take the flight over; this caller is counted again
+				// by whatever the next pass finds.
+				c.mu.Lock()
+				c.collapses--
+				continue
+			}
 			return f.val, true, f.err
 		case <-ctx.Done():
+			c.leave(f)
 			return nil, false, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	if err := ctx.Err(); err != nil {
+		// A caller that is already gone starts no flight.
+		c.mu.Unlock()
+		return nil, false, err
+	}
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	if deadline, ok := ctx.Deadline(); ok {
+		var stop context.CancelFunc
+		fctx, stop = context.WithDeadline(fctx, deadline)
+		defer stop()
+	}
+	f := &flight{done: make(chan struct{}), err: errFlightPanic, callers: 1, cancel: cancel}
 	c.flights[key] = f
 	c.misses++
 	c.mu.Unlock()
+	defer c.land(key, f)
+	stop := context.AfterFunc(ctx, func() { c.leave(f) })
+	defer stop()
 
-	f.val, f.err = compute()
+	f.val, f.err = compute(fctx)
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	return f.val, false, f.err
+}
 
+// leave drops one caller from f; the last one to leave cancels its
+// compute.
+func (c *lruCache) leave(f *flight) {
+	c.mu.Lock()
+	f.callers--
+	last := f.callers == 0
+	c.mu.Unlock()
+	if last {
+		f.cancel()
+	}
+}
+
+// land publishes a finished flight: it caches a value, and wakes the
+// waiters. It runs deferred, so a compute that panics still wakes them
+// (with errFlightPanic) and leaves no flight behind.
+func (c *lruCache) land(key string, f *flight) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
@@ -124,5 +193,4 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, erro
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.val, false, f.err
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,6 +253,49 @@ func TestChaosAllSubmittersGoneAbortsBatch(t *testing.T) {
 	checkHuffman(t, raw, w)
 	if p := s.Snapshot().Panics; p != 0 {
 		t.Errorf("panics = %d, want 0 — the abort path must not be an engine panic", p)
+	}
+}
+
+// TestChaosCanceledClientWithCacheOn: with the result cache on, a lone
+// client that hangs up is the last caller of its single flight, so its
+// job is dropped as at any other cancellation — expired if its batch has
+// not run yet, aborted if it is running — and the engine does not work
+// on for nobody.
+func TestChaosCanceledClientWithCacheOn(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		linger  time.Duration
+		stall   time.Duration
+		counter func(BatcherCounters) int64
+	}{
+		{"expired in linger", 400 * time.Millisecond, 0, func(c BatcherCounters) int64 { return c.Expired }},
+		{"aborted while running", time.Millisecond, 400 * time.Millisecond, func(c BatcherCounters) int64 { return c.Aborted }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.stall > 0 {
+				slowEngine(t, "huffman", tc.stall)
+			}
+			s, ts := newTestServer(t, Config{
+				Workers: 2, MaxBatch: 8, Linger: tc.linger, RequestTimeout: 5 * time.Second,
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/huffman",
+				strings.NewReader(`{"weights":[6,3,2,1]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := ts.Client().Do(req); err == nil {
+				resp.Body.Close()
+				t.Fatalf("status %d, want the client to give up first", resp.StatusCode)
+			}
+			start := time.Now()
+			waitFor(t, func() bool { return reqCounter(s.Snapshot(), "huffman", "canceled") >= 1 })
+			if d := time.Since(start); d > 200*time.Millisecond {
+				t.Errorf("the canceled request was held %v after its client left", d)
+			}
+			waitFor(t, func() bool { return tc.counter(s.Snapshot().Batchers["huffman"]) >= 1 })
+		})
 	}
 }
 

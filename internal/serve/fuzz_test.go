@@ -45,42 +45,44 @@ var fuzzPaths = []string{
 	"/v1/lincfl/recognize",
 }
 
+// decodeSeeds is the FuzzDecodeRequest seed corpus: the shapes the e2e
+// suite sends, plus near-miss variants that exercise each validation
+// branch. The CanonicalKey parity test replays it too.
+var decodeSeeds = []string{
+	`{"weights":[5,2,1,1]}`,
+	`{"weights":[0.4,0.3,0.2,0.1]}`,
+	`{"weights":[]}`,
+	`{"weights":[1e308,1e308]}`,
+	`{"weights":[-1]}`,
+	`{"weights":[0]}`,
+	`{"weights":["nan"]}`,
+	`{"depths":[2,2,2,2]}`,
+	`{"depths":[1,2,3,3]}`,
+	`{"depths":[0]}`,
+	`{"depths":[-1]}`,
+	`{"keys":[0.1,0.2],"gaps":[0.2,0.3,0.2]}`,
+	`{"keys":[1],"gaps":[1]}`,
+	`{"grammar":"palindrome","word":"abcba"}`,
+	`{"grammar":"equalends","word":"aXa"}`,
+	`{"grammar":"nosuch","word":"a"}`,
+	`{"rules":[{"a":0,"pre":"a","b":-1,"suf":"a"}],"start":0,"word":"aa"}`,
+	`{"rules":[],"start":0,"word":""}`,
+	`{}`,
+	`null`,
+	`[]`,
+	`"weights"`,
+	`{"weights":[1,2],"extra":true}`,
+	`{"weights":[1,2]}{"weights":[3]}`,
+	`{"weights`,
+}
+
 // FuzzDecodeRequest throws arbitrary JSON bodies at every engine
 // endpoint. The contract under fuzz: a handler never panics (the
 // recoverer would surface that as a 500), and every response is either a
 // valid engine result (200) or a structured 400 carrying an error code.
 func FuzzDecodeRequest(f *testing.F) {
-	// Seed corpus: the shapes the e2e suite sends, plus near-miss
-	// variants that exercise each validation branch.
-	seeds := []string{
-		`{"weights":[5,2,1,1]}`,
-		`{"weights":[0.4,0.3,0.2,0.1]}`,
-		`{"weights":[]}`,
-		`{"weights":[1e308,1e308]}`,
-		`{"weights":[-1]}`,
-		`{"weights":[0]}`,
-		`{"weights":["nan"]}`,
-		`{"depths":[2,2,2,2]}`,
-		`{"depths":[1,2,3,3]}`,
-		`{"depths":[0]}`,
-		`{"depths":[-1]}`,
-		`{"keys":[0.1,0.2],"gaps":[0.2,0.3,0.2]}`,
-		`{"keys":[1],"gaps":[1]}`,
-		`{"grammar":"palindrome","word":"abcba"}`,
-		`{"grammar":"equalends","word":"aXa"}`,
-		`{"grammar":"nosuch","word":"a"}`,
-		`{"rules":[{"a":0,"pre":"a","b":-1,"suf":"a"}],"start":0,"word":"aa"}`,
-		`{"rules":[],"start":0,"word":""}`,
-		`{}`,
-		`null`,
-		`[]`,
-		`"weights"`,
-		`{"weights":[1,2],"extra":true}`,
-		`{"weights":[1,2]}{"weights":[3]}`,
-		`{"weights`,
-	}
 	for pi := range fuzzPaths {
-		for _, body := range seeds {
+		for _, body := range decodeSeeds {
 			f.Add(pi, []byte(body))
 		}
 	}

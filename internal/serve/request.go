@@ -73,16 +73,10 @@ func badRequest(code, format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON strictly decodes one JSON object from the (already
-// size-limited) body: unknown fields and trailing garbage are errors, so
-// a typo'd request cannot silently fall back to defaults.
-func decodeJSON(r *http.Request, limit int64, dst any) *apiError {
-	return decodeJSONReader(r.Body, limit, dst)
-}
-
-// decodeJSONReader is decodeJSON over any reader; CanonicalKey uses it
-// to apply the exact same strictness to an already-buffered body.
-func decodeJSONReader(r io.Reader, limit int64, dst any) *apiError {
+// decodeJSON strictly decodes one JSON object from the body, read up
+// to limit bytes: unknown fields and trailing garbage are errors, so a
+// typo'd request cannot silently fall back to defaults.
+func decodeJSON(r io.Reader, limit int64, dst any) *apiError {
 	dec := json.NewDecoder(io.LimitReader(r, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -145,6 +139,18 @@ func normalizeWeights(ws []float64, lim Limits) ([]float64, *apiError) {
 	return out, nil
 }
 
+// parseCoding is the parse step of the two coding engines: the
+// normalized weights are the job.
+func parseCoding(engine string) func(*codingRequest, Limits) ([]float64, string, *apiError) {
+	return func(req *codingRequest, lim Limits) ([]float64, string, *apiError) {
+		probs, e := normalizeWeights(req.Weights, lim)
+		if e != nil {
+			return nil, "", e
+		}
+		return probs, keyForFloats(engine, probs), nil
+	}
+}
+
 // codingResponse is the body of /v1/huffman and /v1/shannonfano
 // responses. AvgBits is in the normalized scale: average code-word length
 // in bits per symbol.
@@ -159,19 +165,21 @@ type depthsRequest struct {
 	Depths []int `json:"depths"`
 }
 
-func validateDepths(depths []int, lim Limits) *apiError {
+// parseDepths validates a depth pattern; the pattern itself is the job.
+func parseDepths(req *depthsRequest, lim Limits) ([]int, string, *apiError) {
+	depths := req.Depths
 	if len(depths) == 0 {
-		return badRequest("empty_input", "depths must be non-empty")
+		return nil, "", badRequest("empty_input", "depths must be non-empty")
 	}
 	if len(depths) > lim.MaxVectorLen {
-		return badRequest("too_large", "%d depths exceeds limit %d", len(depths), lim.MaxVectorLen)
+		return nil, "", badRequest("too_large", "%d depths exceeds limit %d", len(depths), lim.MaxVectorLen)
 	}
 	for i, d := range depths {
 		if d < 0 || d > lim.MaxDepth {
-			return badRequest("bad_depth", "depth %d at index %d outside [0, %d]", d, i, lim.MaxDepth)
+			return nil, "", badRequest("bad_depth", "depth %d at index %d outside [0, %d]", d, i, lim.MaxDepth)
 		}
 	}
-	return nil
+	return depths, keyForInts("treefromdepths", depths), nil
 }
 
 type depthsResponse struct {
@@ -188,18 +196,19 @@ type obstRequest struct {
 	Gaps []float64 `json:"gaps"`
 }
 
-// normalizeOBST validates an OBST instance and scales the joint mass to
-// 1. Entries must be finite and ≥ 0 with positive total.
-func normalizeOBST(req *obstRequest, lim Limits) (keys, gaps []float64, e *apiError) {
+// parseOBST validates an OBST instance and scales the joint mass to 1.
+// Entries must be finite and ≥ 0 with positive total. The instance
+// aliases two pooled vectors (the engine's free returns them).
+func parseOBST(req *obstRequest, lim Limits) (*partree.BSTInstance, string, *apiError) {
 	n := len(req.Keys)
 	if n == 0 {
-		return nil, nil, badRequest("empty_input", "keys must be non-empty")
+		return nil, "", badRequest("empty_input", "keys must be non-empty")
 	}
 	if n > lim.MaxVectorLen {
-		return nil, nil, badRequest("too_large", "%d keys exceeds limit %d", n, lim.MaxVectorLen)
+		return nil, "", badRequest("too_large", "%d keys exceeds limit %d", n, lim.MaxVectorLen)
 	}
 	if len(req.Gaps) != n+1 {
-		return nil, nil, badRequest("bad_instance", "need %d gaps for %d keys, got %d", n+1, n, len(req.Gaps))
+		return nil, "", badRequest("bad_instance", "need %d gaps for %d keys, got %d", n+1, n, len(req.Gaps))
 	}
 	sum := 0.0
 	check := func(vs []float64, what string) *apiError {
@@ -212,23 +221,29 @@ func normalizeOBST(req *obstRequest, lim Limits) (keys, gaps []float64, e *apiEr
 		return nil
 	}
 	if e := check(req.Keys, "key probability"); e != nil {
-		return nil, nil, e
+		return nil, "", e
 	}
 	if e := check(req.Gaps, "gap probability"); e != nil {
-		return nil, nil, e
+		return nil, "", e
 	}
 	if sum <= 0 || math.IsInf(sum, 0) {
-		return nil, nil, badRequest("bad_weight", "total probability mass must be positive and finite")
+		return nil, "", badRequest("bad_weight", "total probability mass must be positive and finite")
 	}
-	keys = pool.Float64s(n)
-	gaps = pool.Float64s(n + 1)
+	keys := pool.Float64s(n)
+	gaps := pool.Float64s(n + 1)
 	for i, v := range req.Keys {
 		keys[i] = v / sum
 	}
 	for i, v := range req.Gaps {
 		gaps[i] = v / sum
 	}
-	return keys, gaps, nil
+	in, err := partree.NewBSTInstance(keys, gaps)
+	if err != nil {
+		pool.PutFloat64s(keys)
+		pool.PutFloat64s(gaps)
+		return nil, "", badRequest("bad_instance", "%v", err)
+	}
+	return in, keyForOBST(keys, gaps), nil
 }
 
 // obstResponse carries the optimal tree as a balanced-parentheses shape
@@ -264,35 +279,34 @@ type lincflResponse struct {
 }
 
 // parseLinCFL validates a lincfl request and resolves its grammar.
-func parseLinCFL(req *lincflRequest, lim Limits) (*partree.LinearGrammar, []byte, *apiError) {
-	if len(req.Word) > lim.MaxWordLen {
-		return nil, nil, badRequest("too_large", "word length %d exceeds limit %d", len(req.Word), lim.MaxWordLen)
-	}
+func parseLinCFL(req *lincflRequest, lim Limits) (job partree.LinCFLBatchJob, key string, e *apiError) {
+	var g *partree.LinearGrammar
 	switch {
+	case len(req.Word) > lim.MaxWordLen:
+		return job, "", badRequest("too_large", "word length %d exceeds limit %d", len(req.Word), lim.MaxWordLen)
 	case req.Grammar != "" && len(req.Rules) > 0:
-		return nil, nil, badRequest("bad_grammar", "give either a stock grammar name or rules, not both")
+		return job, "", badRequest("bad_grammar", "give either a stock grammar name or rules, not both")
 	case req.Grammar != "":
-		g, ok := stockGrammar(req.Grammar)
-		if !ok {
-			return nil, nil, badRequest("bad_grammar", "unknown stock grammar %q", req.Grammar)
+		var ok bool
+		if g, ok = stockGrammar(req.Grammar); !ok {
+			return job, "", badRequest("bad_grammar", "unknown stock grammar %q", req.Grammar)
 		}
-		return g, []byte(req.Word), nil
 	case len(req.Rules) > 0:
 		if len(req.Rules) > lim.MaxRules {
-			return nil, nil, badRequest("too_large", "%d rules exceeds limit %d", len(req.Rules), lim.MaxRules)
+			return job, "", badRequest("too_large", "%d rules exceeds limit %d", len(req.Rules), lim.MaxRules)
 		}
 		raw := make([]partree.GrammarRule, len(req.Rules))
 		for i, r := range req.Rules {
 			raw[i] = partree.GrammarRule{A: r.A, Pre: r.Pre, B: r.B, Suf: r.Suf}
 		}
-		g, err := partree.NewLinearGrammar(raw, req.Start)
-		if err != nil {
-			return nil, nil, badRequest("bad_grammar", "%v", err)
+		var err error
+		if g, err = partree.NewLinearGrammar(raw, req.Start); err != nil {
+			return job, "", badRequest("bad_grammar", "%v", err)
 		}
-		return g, []byte(req.Word), nil
 	default:
-		return nil, nil, badRequest("bad_grammar", "missing grammar (stock name or rules)")
+		return job, "", badRequest("bad_grammar", "missing grammar (stock name or rules)")
 	}
+	return partree.LinCFLBatchJob{Grammar: g, Word: []byte(req.Word)}, keyForLinCFL(req), nil
 }
 
 // stockGrammar resolves the named stock grammars exposed by the API.
