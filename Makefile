@@ -44,12 +44,13 @@ test-pooldebug:
 	$(GO) test -tags pooldebug . ./internal/pool ./internal/pram ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/hufpar ./internal/obst ./internal/serve ./internal/cluster
 
 # Stress the hedging and single-flight paths: the gateway tests that
-# race hedged duplicates of one key across backends, and the result
-# cache's single-flight tests, 30 times each under -race, so a rare
-# interleaving fails here instead of as a one-off flake.
+# race hedged duplicates of one key across backends, the result cache's
+# single-flight tests, and the batcher's full-cut and linger-precision
+# tests, 30 times each under -race, so a rare interleaving fails here
+# instead of as a one-off flake.
 test-stress:
 	$(GO) test -race -count=30 -run 'TestGatewayConcurrentMixedLoad|TestChaosHedgeSingleFlight' ./internal/cluster
-	$(GO) test -race -count=30 -run 'TestCacheCanceledLeaderDoesNotPoisonFollowers|TestCacheExpiredLeaderHandsOver|TestCacheLastCallerCancelsFlight|TestCachePanicWakesWaiters' ./internal/serve
+	$(GO) test -race -count=30 -run 'TestCacheCanceledLeaderDoesNotPoisonFollowers|TestCacheExpiredLeaderHandsOver|TestCacheLastCallerCancelsFlight|TestCachePanicWakesWaiters|TestBatcherFullCut|TestBatcherLingerPrecision|TestBatcherLongLingerPrecision|TestBatcherSubMillisecondLingerCutsOnFlushAndClose' ./internal/serve
 
 # perfbench is its own module (it imports internal packages through a
 # replace directive), so ./... at the root does not reach it; build and

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -12,6 +13,14 @@ import (
 
 // ErrShuttingDown is returned by Submit once the batcher has been closed.
 var ErrShuttingDown = errors.New("serve: shutting down")
+
+// timerFloor is how late a runtime timer can fire. Go parks an idle
+// process in epoll_wait, which counts whole milliseconds, so on an
+// otherwise idle partreed a 50, 200 or 500 µs timer fires about 1.07 ms
+// after it was set, and a longer one up to about a millisecond late.
+// collect therefore blocks on a timer only until timerFloor of linger
+// remains, and polls for the rest.
+const timerFloor = time.Millisecond
 
 // errBatchPanic is distributed to every job of a batch whose executor
 // panicked; the panic value itself goes to the server log.
@@ -70,6 +79,10 @@ type batcher[Req, Resp any] struct {
 	// buffer per collector suffices — batching stops allocating a fresh
 	// request slice per batch on the hot path.
 	reqScratch []Req
+	// batchScratch is the collector's batch buffer, reused and zeroed
+	// across batches like reqScratch; every job of a batch is done before
+	// runBatch returns, so nothing outlives the batch that holds it.
+	batchScratch []*pending[Req, Resp]
 
 	// Counters, guarded by cmu.
 	cmu        sync.Mutex
@@ -81,6 +94,7 @@ type batcher[Req, Resp any] struct {
 	expired    int64
 	aborted    int64
 	maxSeen    int
+	collected  time.Duration
 }
 
 // pending is one submitted job waiting for its batch to execute. ctx is
@@ -177,44 +191,60 @@ func (b *batcher[Req, Resp]) loop() {
 			b.drain()
 			return
 		}
-		batch := append(make([]*pending[Req, Resp], 0, b.maxBatch), first)
-		batch, cut := b.collect(batch)
-		b.runBatch(batch, cut)
+		start := time.Now()
+		batch, cut := b.collect(append(b.batchScratch[:0], first))
+		b.runBatch(batch, cut, time.Since(start))
 	}
 }
 
 // collect fills the batch after its first job: up to maxBatch jobs, or
 // whatever has arrived when the linger deadline passes. With linger == 0
 // it takes only what is already queued (dispatch without delay).
+//
+// The wait is one loop with two phases. While more than timerFloor of
+// linger remains it blocks on a timer set to wake timerFloor early; for
+// the last stretch (the whole wait, at the 200 µs default) it polls the
+// queue, quit and flush without blocking and yields the processor
+// between polls until the deadline. An idle batcher has no open batch
+// and so never polls; an open one spends at most min(linger, timerFloor)
+// of CPU polling. Quit and flush cut at once in either phase.
 func (b *batcher[Req, Resp]) collect(batch []*pending[Req, Resp]) ([]*pending[Req, Resp], string) {
-	if len(batch) >= b.maxBatch {
-		return batch, "full"
-	}
-	if b.linger <= 0 {
-		for len(batch) < b.maxBatch {
+	deadline := time.Now().Add(b.linger)
+	var timer *time.Timer
+	for len(batch) < b.maxBatch {
+		left := time.Until(deadline)
+		if left > timerFloor {
+			if timer == nil {
+				// Timers never fire early, so once this one has fired
+				// at most timerFloor remains and the loop polls.
+				timer = time.NewTimer(left - timerFloor)
+				defer timer.Stop()
+			}
 			select {
 			case p := <-b.queue:
 				batch = append(batch, p)
-			default:
-				return batch, "linger"
+			case <-timer.C:
+			case <-b.quit:
+				// Shutdown while lingering: cut immediately; the remaining
+				// queue is handled by drain after loop observes quit.
+				return batch, "drain"
+			case <-b.flush:
+				return batch, "drain"
 			}
+			continue
 		}
-		return batch, "full"
-	}
-	timer := time.NewTimer(b.linger)
-	defer timer.Stop()
-	for len(batch) < b.maxBatch {
 		select {
 		case p := <-b.queue:
 			batch = append(batch, p)
-		case <-timer.C:
-			return batch, "linger"
 		case <-b.quit:
-			// Shutdown while lingering: cut immediately; the remaining
-			// queue is handled by drain after loop observes quit.
 			return batch, "drain"
 		case <-b.flush:
 			return batch, "drain"
+		default:
+			if left <= 0 {
+				return batch, "linger"
+			}
+			runtime.Gosched()
 		}
 	}
 	return batch, "full"
@@ -224,7 +254,7 @@ func (b *batcher[Req, Resp]) collect(batch []*pending[Req, Resp]) ([]*pending[Re
 // new sends start after quit closes, so a sweep to empty is complete.
 func (b *batcher[Req, Resp]) drain() {
 	for {
-		var batch []*pending[Req, Resp]
+		batch := b.batchScratch[:0]
 		for len(batch) < b.maxBatch {
 			select {
 			case p := <-b.queue:
@@ -237,12 +267,17 @@ func (b *batcher[Req, Resp]) drain() {
 		if len(batch) == 0 {
 			return
 		}
-		b.runBatch(batch, "drain")
+		b.runBatch(batch, "drain", 0)
 	}
 }
 
-func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string) {
-	faultpoint.Hit("batcher.collect", b.name, cut, len(batch))
+// runBatch executes one cut batch; collected is the time it spent open,
+// from its first job to its cut. Afterwards the batch's buffer is zeroed
+// and parked in batchScratch for the next one.
+func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string, collected time.Duration) {
+	if faultpoint.Armed() { // skip boxing the arguments when disarmed
+		faultpoint.Hit("batcher.collect", b.name, cut, len(batch))
+	}
 	// Expiry cut: a job whose deadline already passed while it waited in
 	// the queue or lingered in the batch gets its own ctx.Err() and never
 	// reaches the engine — its submitter has stopped listening.
@@ -264,6 +299,7 @@ func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string) {
 	b.cmu.Lock()
 	b.batches++
 	b.jobs += int64(len(batch))
+	b.collected += collected
 	b.expired += nExpired
 	if len(batch) > b.maxSeen {
 		b.maxSeen = len(batch)
@@ -277,6 +313,9 @@ func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string) {
 		b.drainCuts++
 	}
 	b.cmu.Unlock()
+
+	clear(batch)
+	b.batchScratch = batch[:0]
 }
 
 // execBatch runs exec over the live jobs under a context that expires
@@ -293,8 +332,9 @@ func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string) {
 func (b *batcher[Req, Resp]) execBatch(live []*pending[Req, Resp], cut string) {
 	batchCtx := context.Background()
 	var cancel context.CancelFunc
-	stop := make(chan struct{})
-	watcherDone := make(chan struct{})
+	// stop and watcherDone exist only while a watcher runs; the watcher
+	// reads live, which execBatch keeps intact until watcherDone closes.
+	var stop, watcherDone chan struct{}
 	allCancelable := true
 	for _, p := range live {
 		if p.ctx.Done() == nil {
@@ -302,12 +342,14 @@ func (b *batcher[Req, Resp]) execBatch(live []*pending[Req, Resp], cut string) {
 			break
 		}
 	}
+	// A submitter that can never go away (Background context) pins the
+	// batch: it always runs to completion, and no watcher starts.
 	if allCancelable {
 		batchCtx, cancel = context.WithCancel(context.Background())
-		watched := append([]*pending[Req, Resp](nil), live...)
+		stop, watcherDone = make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(watcherDone)
-			for _, p := range watched {
+			for _, p := range live {
 				select {
 				case <-p.ctx.Done():
 				case <-stop:
@@ -316,10 +358,6 @@ func (b *batcher[Req, Resp]) execBatch(live []*pending[Req, Resp], cut string) {
 			}
 			cancel()
 		}()
-	} else {
-		// A submitter that can never go away (Background context) pins
-		// the batch: it always runs to completion.
-		close(watcherDone)
 	}
 
 	var btr *trace.Trace
@@ -348,9 +386,9 @@ func (b *batcher[Req, Resp]) execBatch(live []*pending[Req, Resp], cut string) {
 			b.observe(btr)
 		}
 	}
-	close(stop)
-	<-watcherDone
-	if cancel != nil {
+	if stop != nil {
+		close(stop)
+		<-watcherDone
 		cancel()
 	}
 	// Drop the payload references before parking the buffer: a retained
@@ -402,7 +440,9 @@ func (b *batcher[Req, Resp]) safeExec(ctx context.Context, reqs []Req) (resps []
 			panicked = true
 		}
 	}()
-	faultpoint.Hit("batcher.exec", b.name, len(reqs))
+	if faultpoint.Armed() {
+		faultpoint.Hit("batcher.exec", b.name, len(reqs))
+	}
 	resps, err = b.exec(ctx, reqs)
 	return resps, err, false
 }
@@ -420,6 +460,10 @@ type BatcherCounters struct {
 	Aborted      int64   `json:"aborted"`
 	MaxBatchConf int     `json:"max_batch"`
 	LingerUS     int64   `json:"linger_us"`
+	// CollectUS is the total time batches spent open, from their first
+	// job to their cut; CollectUS/LingerCuts shows how closely the
+	// linger is honoured when most cuts are linger cuts.
+	CollectUS int64 `json:"collect_us"`
 }
 
 func (b *batcher[Req, Resp]) counters() BatcherCounters {
@@ -436,6 +480,7 @@ func (b *batcher[Req, Resp]) counters() BatcherCounters {
 		Aborted:      b.aborted,
 		MaxBatchConf: b.maxBatch,
 		LingerUS:     b.linger.Microseconds(),
+		CollectUS:    b.collected.Microseconds(),
 	}
 	if b.batches > 0 {
 		c.AvgBatch = float64(b.jobs) / float64(b.batches)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -98,6 +99,9 @@ func TestBatcherFullCut(t *testing.T) {
 		t.Fatalf("second batch size = %d, want %d", size, maxBatch)
 	}
 	wg.Wait()
+	// The second batch's submitters wake before the collector records
+	// it; read the counters only once it has.
+	waitFor(t, func() bool { return b.counters().Batches == 2 })
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil || results[i] != fmt.Sprintf("r%d", i) {
@@ -423,6 +427,128 @@ func TestBatcherBackgroundSubmitterPinsBatch(t *testing.T) {
 	}
 	if c := b.counters(); c.Aborted != 0 {
 		t.Errorf("aborted = %d, want 0 — pinned batch must not abort", c.Aborted)
+	}
+}
+
+// lingerLatencies submits n lone jobs one after another and returns
+// each Submit's latency, sorted.
+func lingerLatencies(t *testing.T, b *batcher[int, string], n int) []time.Duration {
+	t.Helper()
+	lat := make([]time.Duration, n)
+	for i := range lat {
+		start := time.Now()
+		resp, err := b.Submit(context.Background(), i)
+		lat[i] = time.Since(start)
+		if err != nil || resp != fmt.Sprintf("r%d", i) {
+			t.Fatalf("job %d: resp=%q err=%v", i, resp, err)
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return lat
+}
+
+// TestBatcherLingerPrecision pins that a sub-millisecond linger waits
+// about as long as configured. A runtime timer that short fires about a
+// millisecond late on an idle process, so a timer-only wait puts the
+// median near 1.07 ms; the poll phase brings it within tens of µs.
+func TestBatcherLingerPrecision(t *testing.T) {
+	const linger = 200 * time.Microsecond
+	b := newBatcher("t", 64, linger, 128, echoExecCtx)
+	defer b.Close()
+
+	const n = 200
+	lat := lingerLatencies(t, b, n)
+	if lat[0] < linger {
+		t.Errorf("fastest lone Submit took %v; a batch must not cut before its %v linger", lat[0], linger)
+	}
+	if med := lat[n/2]; med >= 700*time.Microsecond {
+		t.Errorf("median lone Submit took %v, want < 700µs for a %v linger", med, linger)
+	}
+	waitFor(t, func() bool { return b.counters().Batches == n })
+	c := b.counters()
+	if c.LingerCuts != n {
+		t.Errorf("linger cuts = %d, want %d (%+v)", c.LingerCuts, n, c)
+	}
+	if c.CollectUS < n*linger.Microseconds() {
+		t.Errorf("collect_us = %d, want >= %d: every batch lingers its full %v", c.CollectUS, n*linger.Microseconds(), linger)
+	}
+}
+
+// TestBatcherLongLingerPrecision covers the two-phase wait: a linger
+// above the timer floor blocks on a timer, then polls the last stretch.
+func TestBatcherLongLingerPrecision(t *testing.T) {
+	const linger = 2500 * time.Microsecond
+	b := newBatcher("t", 64, linger, 128, echoExecCtx)
+	defer b.Close()
+
+	const n = 20
+	lat := lingerLatencies(t, b, n)
+	if lat[0] < linger {
+		t.Errorf("fastest lone Submit took %v; a batch must not cut before its %v linger", lat[0], linger)
+	}
+	if med := lat[n/2]; med >= linger+500*time.Microsecond {
+		t.Errorf("median lone Submit took %v, want < %v", med, linger+500*time.Microsecond)
+	}
+}
+
+// TestBatcherSubMillisecondLingerCutsOnFlushAndClose is the sub-ms
+// companion of the flush and close tests above, which linger a minute
+// and so cut from the timer phase: with a 900 µs linger the whole wait
+// is the poll phase, and flush and quit must still cut at once.
+func TestBatcherSubMillisecondLingerCutsOnFlushAndClose(t *testing.T) {
+	const linger = 900 * time.Microsecond
+	for _, signal := range []string{"flush", "quit"} {
+		t.Run(signal, func(t *testing.T) {
+			// No collector goroutine: the test drives collect itself, with
+			// the signal already given and a second job queued behind it.
+			b := &batcher[int, string]{
+				name: "t", maxBatch: 4, linger: linger, exec: echoExecCtx,
+				queue: make(chan *pending[int, string], 4),
+				quit:  make(chan struct{}), flush: make(chan struct{}),
+			}
+			if signal == "flush" {
+				close(b.flush)
+			} else {
+				close(b.quit)
+			}
+			b.queue <- &pending[int, string]{req: 1, ctx: context.Background()}
+			first := &pending[int, string]{req: 0, ctx: context.Background()}
+			batch, cut := b.collect([]*pending[int, string]{first})
+			if cut != "drain" || len(batch) == 0 || batch[0] != first {
+				t.Fatalf("collect = %d jobs, cut %q; want the open batch cut as drain", len(batch), cut)
+			}
+		})
+	}
+
+	// Through the collector: after Flush every lone job cuts at once.
+	b := newBatcher("t", 4, linger, 16, echoExecCtx)
+	b.Flush()
+	const n = 20
+	lingerLatencies(t, b, n)
+	b.Close()
+	if c := b.counters(); c.DrainCuts != n || c.LingerCuts != 0 {
+		t.Errorf("counters = %+v, want %d drain cuts and no linger cut after Flush", c, n)
+	}
+}
+
+// TestBatcherLoneSubmitAllocs pins the collector's steady state: a lone
+// job allocates its pending record and done channel, and the collector
+// reuses its batch and request buffers, so nothing else.
+func TestBatcherLoneSubmitAllocs(t *testing.T) {
+	resps := []string{"r"}
+	b := newBatcher("t", 64, 0, 16, func(_ context.Context, reqs []int) ([]string, error) {
+		return resps[:len(reqs)], nil
+	})
+	defer b.Close()
+	b.Submit(context.Background(), 0) // warm the scratch buffers
+
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := b.Submit(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("lone Submit: %.1f allocs, want <= 2 (pending record and done channel)", allocs)
 	}
 }
 

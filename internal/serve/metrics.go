@@ -339,6 +339,10 @@ func renderMetrics(w io.Writer, v metricsView) {
 		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="full",engine=%q`, e), float64(b.FullCuts))
 		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="linger",engine=%q`, e), float64(b.LingerCuts))
 	}
+	p.header("partree_batch_collect_seconds_total", "Time batches spent open, from their first job to their cut.", "counter")
+	for _, e := range batchers {
+		p.sample("partree_batch_collect_seconds_total", fmt.Sprintf(`engine=%q`, e), float64(snap.Batchers[e].CollectUS)/1e6)
+	}
 	p.header("partree_batch_expired_jobs_total", "Jobs expired before execution (submitter deadline passed in queue).", "counter")
 	for _, e := range batchers {
 		p.sample("partree_batch_expired_jobs_total", fmt.Sprintf(`engine=%q`, e), float64(snap.Batchers[e].Expired))

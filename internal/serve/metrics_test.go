@@ -45,8 +45,8 @@ func goldenView() metricsView {
 			Cache:    CacheCounters{Size: 10, Capacity: 4096, Hits: 50, Misses: 60, Evictions: 2, Collapses: 4},
 			FastPath: CacheCounters{Size: 8, Capacity: 4096, Hits: 30, Misses: 80, Evictions: 1},
 			Batchers: map[string]BatcherCounters{
-				"huffman": {Batches: 20, Jobs: 60, AvgBatch: 3, MaxBatch: 8, FullCuts: 5, LingerCuts: 14, DrainCuts: 1, Expired: 2, Aborted: 1, MaxBatchConf: 64, LingerUS: 200},
-				"obst":    {Batches: 4, Jobs: 4, AvgBatch: 1, MaxBatch: 1, LingerCuts: 4, MaxBatchConf: 64, LingerUS: 200},
+				"huffman": {Batches: 20, Jobs: 60, AvgBatch: 3, MaxBatch: 8, FullCuts: 5, LingerCuts: 14, DrainCuts: 1, Expired: 2, Aborted: 1, MaxBatchConf: 64, LingerUS: 200, CollectUS: 4300},
+				"obst":    {Batches: 4, Jobs: 4, AvgBatch: 1, MaxBatch: 1, LingerCuts: 4, MaxBatchConf: 64, LingerUS: 200, CollectUS: 860},
 			},
 			PRAM: map[string]engineStatsJSON{
 				"huffman": {Steps: 1234, Work: 56789, Steals: 12, SpanMS: 40, BarrierMS: 5, StealWaitMS: 2.5},

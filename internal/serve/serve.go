@@ -43,7 +43,11 @@ type Config struct {
 	MaxBatch int
 	// Linger is how long an open batch waits for company after its first
 	// job before it is cut. 0 dispatches immediately with whatever has
-	// already queued.
+	// already queued. It is honoured to within tens of µs: Go's timers
+	// fire about 1.07 ms late below a millisecond on an idle process, so
+	// the last sub-millisecond stretch of the wait polls the queue and
+	// yields the CPU instead, spending up to Linger (at most 1 ms) of CPU
+	// per open batch.
 	Linger time.Duration
 	// CacheSize is the result cache capacity in entries; 0 means the
 	// default (4096), negative disables caching entirely.
