@@ -45,12 +45,14 @@ test-pooldebug:
 
 # Stress the hedging and single-flight paths: the gateway tests that
 # race hedged duplicates of one key across backends, the result cache's
-# single-flight tests, and the batcher's full-cut and linger-precision
-# tests, 30 times each under -race, so a rare interleaving fails here
-# instead of as a one-off flake.
+# single-flight tests, the batcher's full-cut and linger-precision
+# tests, and the arrival-count tests (idle cut, shared batches, the
+# per-exit ledger, collapsed waiters, stalled uploads), 30 times each
+# under -race, so a rare interleaving fails here instead of as a one-off
+# flake.
 test-stress:
 	$(GO) test -race -count=30 -run 'TestGatewayConcurrentMixedLoad|TestChaosHedgeSingleFlight' ./internal/cluster
-	$(GO) test -race -count=30 -run 'TestCacheCanceledLeaderDoesNotPoisonFollowers|TestCacheExpiredLeaderHandsOver|TestCacheLastCallerCancelsFlight|TestCachePanicWakesWaiters|TestBatcherFullCut|TestBatcherLingerPrecision|TestBatcherLongLingerPrecision|TestBatcherSubMillisecondLingerCutsOnFlushAndClose' ./internal/serve
+	$(GO) test -race -count=30 -run 'TestCacheCanceledLeaderDoesNotPoisonFollowers|TestCacheExpiredLeaderHandsOver|TestCacheLastCallerCancelsFlight|TestCachePanicWakesWaiters|TestBatcherFullCut|TestBatcherLingerPrecision|TestBatcherLongLingerPrecision|TestBatcherSubMillisecondLingerCutsOnFlushAndClose|TestBatcherLoneJobCutsIdle|TestBatcherAnnouncedArrivalsShareBatch|TestBatcherArrivalLeavesOnce|TestE2EArrivalLedger|TestE2ELoneRequestCutsIdle|TestE2EStalledUploadHoldsBatchOnlyForLinger|TestE2ECollapsedWaiterLeavesItsFlightsBatch' ./internal/serve
 
 # perfbench is its own module (it imports internal packages through a
 # replace directive), so ./... at the root does not reach it; build and

@@ -57,7 +57,7 @@ func run(args []string) int {
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 0, "PRAM worker goroutines per batch run and workspace-arena shard count; 0 = GOMAXPROCS, 1 runs single-shard (no sharding overhead)")
 		maxBatch   = fs.Int("max-batch", 64, "max jobs coalesced into one engine batch")
-		linger     = fs.Duration("linger", 200*time.Microsecond, "how long an open batch waits for more jobs, to within tens of µs; Go's timers fire about 1.07 ms late below 1 ms, so that part of the wait yields the CPU, up to this much CPU per open batch")
+		linger     = fs.Duration("linger", 200*time.Microsecond, "the longest an open batch waits for more jobs from requests already admitted for its engine; a batch with none on the way is cut at once. Kept to within tens of µs: Go's timers fire about 1.07 ms late below 1 ms, so that part of a wait polls and yields the CPU")
 		cacheSize  = fs.Int("cache-size", 4096, "LRU result cache entries (negative disables caching)")
 		inflight   = fs.Int("max-inflight", 256, "concurrent requests admitted before shedding with 429")
 		reqTimeout = fs.Duration("request-timeout", 10*time.Second, "per-request deadline")

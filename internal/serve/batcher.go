@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"partree/internal/faultpoint"
@@ -28,9 +29,17 @@ var errBatchPanic = errors.New("serve: engine panic while executing batch")
 
 // batcher coalesces concurrently arriving small jobs into batches that
 // one engine call executes on one PRAM machine run. A batch is cut when
-// it reaches maxBatch jobs (full cut), when the linger deadline since the
-// batch's first job expires (linger cut), or when the batcher drains at
-// shutdown (drain cut).
+// it reaches maxBatch jobs (full cut), when no further job is queued or
+// announced (idle cut), when the linger deadline since the batch's first
+// job expires (linger cut), or when the batcher drains at shutdown
+// (drain cut).
+//
+// Requests announce themselves when they are admitted, before they have
+// read or parsed their body. The announcement ends when the collector
+// takes the request's job from the queue, or when the request knows it
+// will queue none (see arrival). An open batch waits only while some
+// announced request is still on its way, and never longer than linger: a
+// lone job runs at once, and concurrent requests still share a batch.
 //
 // The exec callback receives the batched requests in arrival order and
 // must return one response per request, positionally aligned, or an
@@ -72,6 +81,17 @@ type batcher[Req, Resp any] struct {
 	flush     chan struct{}
 	flushOnce sync.Once
 
+	// arrivals counts the requests announced for this engine whose job
+	// the collector has not yet taken from the queue and that have not
+	// left without one: the company an open batch can still expect. A
+	// queued job carries its request's announcement, and the collector
+	// releases it on receipt, so no job is ever both counted as on its
+	// way and already held. A release by a request that brings the count
+	// to zero leaves a token in wake, so a collector blocked on its timer
+	// re-checks at once.
+	arrivals atomic.Int64
+	wake     chan struct{}
+
 	// reqScratch is the request buffer handed to exec, reused across
 	// batches. Only the collector goroutine touches it, and exec runs
 	// synchronously on that goroutine and must not retain its argument
@@ -89,6 +109,7 @@ type batcher[Req, Resp any] struct {
 	batches    int64
 	jobs       int64
 	fullCuts   int64
+	idleCuts   int64
 	lingerCuts int64
 	drainCuts  int64
 	expired    int64
@@ -112,6 +133,9 @@ type pending[Req, Resp any] struct {
 	// traced request sees the spans of the run that computed its result
 	// even when it shared the run with untraced neighbours.
 	tr *trace.Trace
+	// announced marks a job that carries its request's announcement,
+	// released by the collector when it takes the job (see receive).
+	announced bool
 }
 
 func newBatcher[Req, Resp any](name string, maxBatch int, linger time.Duration, queueDepth int, exec func(context.Context, []Req) ([]Resp, error)) *batcher[Req, Resp] {
@@ -129,6 +153,7 @@ func newBatcher[Req, Resp any](name string, maxBatch int, linger time.Duration, 
 		queue:    make(chan *pending[Req, Resp], queueDepth),
 		quit:     make(chan struct{}),
 		flush:    make(chan struct{}),
+		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	go b.loop()
@@ -137,22 +162,29 @@ func newBatcher[Req, Resp any](name string, maxBatch int, linger time.Duration, 
 
 // Submit enqueues one job and blocks until its batch has executed, the
 // context is done, or the batcher shuts down. A job whose Submit has
-// returned nil error was executed; its response is valid.
-func (b *batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) {
+// returned nil error was executed; its response is valid. The job takes
+// over a's announcement (a may be nil): the collector releases it when
+// it takes the job, and Submit releases it when the job is refused.
+func (b *batcher[Req, Resp]) Submit(ctx context.Context, req Req, a *arrival) (Resp, error) {
 	var zero Resp
-	p := &pending[Req, Resp]{req: req, ctx: ctx, done: make(chan struct{}), tr: trace.FromContext(ctx)}
+	p := &pending[Req, Resp]{req: req, ctx: ctx, done: make(chan struct{}), tr: trace.FromContext(ctx), announced: a.take()}
 
 	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return zero, ErrShuttingDown
+	err := ErrShuttingDown
+	if !b.closed {
+		select {
+		case b.queue <- p:
+			err = nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
-	select {
-	case b.queue <- p:
-		b.mu.RUnlock()
-	case <-ctx.Done():
-		b.mu.RUnlock()
-		return zero, ctx.Err()
+	b.mu.RUnlock()
+	if err != nil {
+		if p.announced {
+			b.release()
+		}
+		return zero, err
 	}
 
 	select {
@@ -162,6 +194,29 @@ func (b *batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) 
 		// The job may still execute later; its slot outlives us.
 		return zero, ctx.Err()
 	}
+}
+
+// announce counts one more request on its way to this batcher; release
+// undoes it. Requests use them through arrival, which releases once.
+func (b *batcher[Req, Resp]) announce() { b.arrivals.Add(1) }
+
+func (b *batcher[Req, Resp]) release() {
+	if b.arrivals.Add(-1) == 0 {
+		select {
+		case b.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+}
+
+// receive is the collector's receipt of a job from the queue: it ends
+// the announcement the job carries. No wake is needed, as the collector
+// is the one who waits.
+func (b *batcher[Req, Resp]) receive(p *pending[Req, Resp]) *pending[Req, Resp] {
+	if p.announced {
+		b.arrivals.Add(-1)
+	}
+	return p
 }
 
 // Flush makes the batcher stop lingering: the open batch and every later
@@ -186,7 +241,8 @@ func (b *batcher[Req, Resp]) loop() {
 	for {
 		var first *pending[Req, Resp]
 		select {
-		case first = <-b.queue:
+		case p := <-b.queue:
+			first = b.receive(p)
 		case <-b.quit:
 			b.drain()
 			return
@@ -198,53 +254,68 @@ func (b *batcher[Req, Resp]) loop() {
 }
 
 // collect fills the batch after its first job: up to maxBatch jobs, or
-// whatever has arrived when the linger deadline passes. With linger == 0
+// whatever has arrived when the linger deadline passes, or, sooner,
+// whatever has arrived once nothing else is on its way. With linger == 0
 // it takes only what is already queued (dispatch without delay).
 //
-// The wait is one loop with two phases. While more than timerFloor of
-// linger remains it blocks on a timer set to wake timerFloor early; for
-// the last stretch (the whole wait, at the 200 µs default) it polls the
-// queue, quit and flush without blocking and yields the processor
-// between polls until the deadline. An idle batcher has no open batch
-// and so never polls; an open one spends at most min(linger, timerFloor)
-// of CPU polling. Quit and flush cut at once in either phase.
+// Each pass of the loop first polls the queue, quit and flush without
+// blocking. When none is ready and the arrival count, read before the
+// poll, is zero, every announced request has queued its job or left, so
+// the batch is cut at once (idle cut): only a request admitted later
+// could still join it. Otherwise the batch waits for the announced
+// requests, up to the linger deadline. While more than timerFloor of
+// linger remains the wait blocks on a timer set to wake timerFloor early,
+// and a job or a wake token (the count fell to zero) ends it for the
+// next pass; for the last stretch (the whole wait, at the 200 µs
+// default) the loop keeps polling and yields the processor between
+// polls. An idle batcher has no open batch and so never polls. Quit and
+// flush cut at once in either phase.
 func (b *batcher[Req, Resp]) collect(batch []*pending[Req, Resp]) ([]*pending[Req, Resp], string) {
 	deadline := time.Now().Add(b.linger)
 	var timer *time.Timer
 	for len(batch) < b.maxBatch {
-		left := time.Until(deadline)
-		if left > timerFloor {
-			if timer == nil {
-				// Timers never fire early, so once this one has fired
-				// at most timerFloor remains and the loop polls.
-				timer = time.NewTimer(left - timerFloor)
-				defer timer.Stop()
-			}
-			select {
-			case p := <-b.queue:
-				batch = append(batch, p)
-			case <-timer.C:
-			case <-b.quit:
-				// Shutdown while lingering: cut immediately; the remaining
-				// queue is handled by drain after loop observes quit.
-				return batch, "drain"
-			case <-b.flush:
-				return batch, "drain"
-			}
-			continue
-		}
+		// Read the count before polling the queue: a queued job keeps its
+		// announcement until received, so an empty poll after a zero
+		// count means nothing announced is still on its way.
+		idle := b.arrivals.Load() == 0
 		select {
 		case p := <-b.queue:
-			batch = append(batch, p)
+			batch = append(batch, b.receive(p))
+			continue
 		case <-b.quit:
+			// Shutdown while lingering: cut immediately; the remaining
+			// queue is handled by drain after loop observes quit.
 			return batch, "drain"
 		case <-b.flush:
 			return batch, "drain"
 		default:
-			if left <= 0 {
-				return batch, "linger"
-			}
+		}
+		if idle {
+			return batch, "idle"
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			return batch, "linger"
+		}
+		if left <= timerFloor {
 			runtime.Gosched()
+			continue
+		}
+		if timer == nil {
+			// Timers never fire early, so once this one has fired at
+			// most timerFloor remains and the loop only polls.
+			timer = time.NewTimer(left - timerFloor)
+			defer timer.Stop()
+		}
+		select {
+		case p := <-b.queue:
+			batch = append(batch, b.receive(p))
+		case <-b.wake:
+		case <-timer.C:
+		case <-b.quit:
+			return batch, "drain"
+		case <-b.flush:
+			return batch, "drain"
 		}
 	}
 	return batch, "full"
@@ -258,7 +329,7 @@ func (b *batcher[Req, Resp]) drain() {
 		for len(batch) < b.maxBatch {
 			select {
 			case p := <-b.queue:
-				batch = append(batch, p)
+				batch = append(batch, b.receive(p))
 			default:
 				goto flush
 			}
@@ -307,6 +378,8 @@ func (b *batcher[Req, Resp]) runBatch(batch []*pending[Req, Resp], cut string, c
 	switch cut {
 	case "full":
 		b.fullCuts++
+	case "idle":
+		b.idleCuts++
 	case "linger":
 		b.lingerCuts++
 	default:
@@ -454,6 +527,7 @@ type BatcherCounters struct {
 	AvgBatch     float64 `json:"avg_batch"`
 	MaxBatch     int     `json:"max_batch_seen"`
 	FullCuts     int64   `json:"full_cuts"`
+	IdleCuts     int64   `json:"idle_cuts"`
 	LingerCuts   int64   `json:"linger_cuts"`
 	DrainCuts    int64   `json:"drain_cuts"`
 	Expired      int64   `json:"expired"`
@@ -462,8 +536,14 @@ type BatcherCounters struct {
 	LingerUS     int64   `json:"linger_us"`
 	// CollectUS is the total time batches spent open, from their first
 	// job to their cut; CollectUS/LingerCuts shows how closely the
-	// linger is honoured when most cuts are linger cuts.
+	// linger is honoured when most cuts are linger cuts, and
+	// CollectUS/IdleCuts how soon a batch with no company cuts when most
+	// are idle cuts.
 	CollectUS int64 `json:"collect_us"`
+	// Arrivals is the number of requests admitted for this engine whose
+	// job the collector has not yet taken and that have not left without
+	// one, at the moment of the snapshot.
+	Arrivals int64 `json:"arrivals"`
 }
 
 func (b *batcher[Req, Resp]) counters() BatcherCounters {
@@ -474,6 +554,7 @@ func (b *batcher[Req, Resp]) counters() BatcherCounters {
 		Jobs:         b.jobs,
 		MaxBatch:     b.maxSeen,
 		FullCuts:     b.fullCuts,
+		IdleCuts:     b.idleCuts,
 		LingerCuts:   b.lingerCuts,
 		DrainCuts:    b.drainCuts,
 		Expired:      b.expired,
@@ -481,6 +562,7 @@ func (b *batcher[Req, Resp]) counters() BatcherCounters {
 		MaxBatchConf: b.maxBatch,
 		LingerUS:     b.linger.Microseconds(),
 		CollectUS:    b.collected.Microseconds(),
+		Arrivals:     b.arrivals.Load(),
 	}
 	if b.batches > 0 {
 		c.AvgBatch = float64(b.jobs) / float64(b.batches)

@@ -24,9 +24,19 @@ func echoExecCtx(_ context.Context, reqs []int) ([]string, error) {
 	return echoExec(reqs), nil
 }
 
+// holdOpen announces one arrival that never comes, as a request whose
+// body upload stalls would, until the test ends: every batch b opens
+// meanwhile waits out its linger (or fills, or drains) instead of being
+// cut idle the moment its queue runs dry.
+func holdOpen(t *testing.T, b runner) {
+	b.announce()
+	t.Cleanup(b.release)
+}
+
 func TestBatcherLingerCut(t *testing.T) {
 	b := newBatcher("t", 64, 5*time.Millisecond, 128, echoExecCtx)
 	defer b.Close()
+	holdOpen(t, b)
 
 	const n = 4
 	var wg sync.WaitGroup
@@ -34,7 +44,7 @@ func TestBatcherLingerCut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := b.Submit(context.Background(), i)
+			resp, err := b.Submit(context.Background(), i, nil)
 			if err != nil || resp != fmt.Sprintf("r%d", i) {
 				t.Errorf("job %d: resp=%q err=%v", i, resp, err)
 			}
@@ -69,6 +79,7 @@ func TestBatcherFullCut(t *testing.T) {
 	// only be a full cut.
 	b := newBatcher("t", maxBatch, time.Minute, 64, exec)
 	defer b.Close()
+	holdOpen(t, b)
 
 	const n = 2 * maxBatch
 	var wg sync.WaitGroup
@@ -78,7 +89,7 @@ func TestBatcherFullCut(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = b.Submit(context.Background(), i)
+			results[i], errs[i] = b.Submit(context.Background(), i, nil)
 		}()
 	}
 	for i := 0; i < maxBatch; i++ {
@@ -138,6 +149,7 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 	}
 	const maxBatch = 4
 	b := newBatcher("t", maxBatch, time.Minute, 64, exec)
+	holdOpen(t, b)
 
 	const n = 7
 	var wg sync.WaitGroup
@@ -146,7 +158,7 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = b.Submit(context.Background(), i)
+			_, errs[i] = b.Submit(context.Background(), i, nil)
 		}()
 	}
 	// First full batch fills, cuts, and blocks in exec on the gate.
@@ -190,7 +202,7 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 	}
 
 	// Post-close submits are refused.
-	if _, err := b.Submit(context.Background(), 99); !errors.Is(err, ErrShuttingDown) {
+	if _, err := b.Submit(context.Background(), 99, nil); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("Submit after Close: err = %v, want ErrShuttingDown", err)
 	}
 	b.Close() // idempotent
@@ -201,6 +213,7 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 // executed, so no admitted job is ever lost.
 func TestBatcherLingeringBatchFlushedAtClose(t *testing.T) {
 	b := newBatcher("t", 4, time.Minute, 16, echoExecCtx)
+	holdOpen(t, b)
 
 	// Enqueue pendings directly (white-box) so admission is synchronous:
 	// after the sends, len(queue)==0 proves the collector pulled all
@@ -247,11 +260,11 @@ func TestBatcherExecPanicFailsBatchOnly(t *testing.T) {
 	b := newBatcher("t", 1, 0, 16, exec)
 	defer b.Close()
 
-	if _, err := b.Submit(context.Background(), -1); !errors.Is(err, errBatchPanic) {
+	if _, err := b.Submit(context.Background(), -1, nil); !errors.Is(err, errBatchPanic) {
 		t.Fatalf("panicking batch: err = %v, want errBatchPanic", err)
 	}
 	// Collector survived the panic and serves the next batch.
-	resp, err := b.Submit(context.Background(), 7)
+	resp, err := b.Submit(context.Background(), 7, nil)
 	if err != nil || resp != "r7" {
 		t.Fatalf("after panic: resp=%q err=%v", resp, err)
 	}
@@ -268,6 +281,7 @@ func TestBatcherShortExecResponseFailsUnmatchedJobs(t *testing.T) {
 	gated := func(_ context.Context, reqs []int) ([]string, error) { <-gate; return exec(reqs), nil }
 	b := newBatcher("t", 2, time.Minute, 16, gated)
 	defer b.Close()
+	holdOpen(t, b)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -276,7 +290,7 @@ func TestBatcherShortExecResponseFailsUnmatchedJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = b.Submit(context.Background(), i)
+			resps[i], errs[i] = b.Submit(context.Background(), i, nil)
 		}(i)
 	}
 	waitFor(t, func() bool {
@@ -313,18 +327,18 @@ func TestBatcherSubmitHonorsContext(t *testing.T) {
 
 	// First job occupies the collector; second fills the depth-1 queue;
 	// third cannot enqueue and must obey its context.
-	go b.Submit(context.Background(), 0)
+	go b.Submit(context.Background(), 0, nil)
 	waitFor(t, func() bool {
 		b.cmu.Lock()
 		defer b.cmu.Unlock()
 		return b.batches == 0 && len(b.queue) == 0
 	})
-	go b.Submit(context.Background(), 1)
+	go b.Submit(context.Background(), 1, nil)
 	waitFor(t, func() bool { return len(b.queue) == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := b.Submit(ctx, 2)
+	_, err := b.Submit(ctx, 2, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("blocked Submit: err = %v, want DeadlineExceeded", err)
 	}
@@ -343,6 +357,7 @@ func TestBatcherCloseDrainsExpiredJobs(t *testing.T) {
 		return echoExec(reqs), nil
 	}
 	b := newBatcher("t", 8, time.Minute, 16, exec)
+	holdOpen(t, b)
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -401,15 +416,16 @@ func TestBatcherBackgroundSubmitterPinsBatch(t *testing.T) {
 		return echoExec(reqs), nil
 	})
 	defer b.Close()
+	holdOpen(t, b)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var impatientErr error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); _, impatientErr = b.Submit(ctx, 0) }()
+	go func() { defer wg.Done(); _, impatientErr = b.Submit(ctx, 0, nil) }()
 	var patientResp string
 	var patientErr error
-	go func() { defer wg.Done(); patientResp, patientErr = b.Submit(context.Background(), 1) }()
+	go func() { defer wg.Done(); patientResp, patientErr = b.Submit(context.Background(), 1, nil) }()
 
 	// Batch of 2 fills and blocks in exec; the cancelable submitter
 	// leaves. The Background submitter pins the batch: exec's ctx stays
@@ -437,7 +453,7 @@ func lingerLatencies(t *testing.T, b *batcher[int, string], n int) []time.Durati
 	lat := make([]time.Duration, n)
 	for i := range lat {
 		start := time.Now()
-		resp, err := b.Submit(context.Background(), i)
+		resp, err := b.Submit(context.Background(), i, nil)
 		lat[i] = time.Since(start)
 		if err != nil || resp != fmt.Sprintf("r%d", i) {
 			t.Fatalf("job %d: resp=%q err=%v", i, resp, err)
@@ -450,11 +466,14 @@ func lingerLatencies(t *testing.T, b *batcher[int, string], n int) []time.Durati
 // TestBatcherLingerPrecision pins that a sub-millisecond linger waits
 // about as long as configured. A runtime timer that short fires about a
 // millisecond late on an idle process, so a timer-only wait puts the
-// median near 1.07 ms; the poll phase brings it within tens of µs.
+// median near 1.07 ms; the poll phase brings it within tens of µs. An
+// announced arrival that never comes (a stalled upload) holds each lone
+// batch open, and for no longer than the linger.
 func TestBatcherLingerPrecision(t *testing.T) {
 	const linger = 200 * time.Microsecond
 	b := newBatcher("t", 64, linger, 128, echoExecCtx)
 	defer b.Close()
+	holdOpen(t, b)
 
 	const n = 200
 	lat := lingerLatencies(t, b, n)
@@ -480,6 +499,7 @@ func TestBatcherLongLingerPrecision(t *testing.T) {
 	const linger = 2500 * time.Microsecond
 	b := newBatcher("t", 64, linger, 128, echoExecCtx)
 	defer b.Close()
+	holdOpen(t, b)
 
 	const n = 20
 	lat := lingerLatencies(t, b, n)
@@ -488,6 +508,90 @@ func TestBatcherLongLingerPrecision(t *testing.T) {
 	}
 	if med := lat[n/2]; med >= linger+500*time.Microsecond {
 		t.Errorf("median lone Submit took %v, want < %v", med, linger+500*time.Microsecond)
+	}
+}
+
+// TestBatcherLoneJobCutsIdle: with nothing else queued or announced, a
+// lone job's batch is cut at once as an idle cut instead of waiting out
+// its linger.
+func TestBatcherLoneJobCutsIdle(t *testing.T) {
+	const linger = 200 * time.Microsecond
+	b := newBatcher("t", 64, linger, 128, echoExecCtx)
+	defer b.Close()
+
+	const n = 200
+	lingerLatencies(t, b, n)
+	waitFor(t, func() bool { return b.counters().Batches == n })
+	c := b.counters()
+	if c.IdleCuts != n || c.LingerCuts != 0 {
+		t.Errorf("counters = %+v, want %d idle cuts and no linger cut", c, n)
+	}
+	if per := time.Duration(c.CollectUS) * time.Microsecond / n; per >= linger/4 {
+		t.Errorf("collect_us/idle_cuts = %v, want well under the %v linger", per, linger)
+	}
+	if c.Arrivals != 0 {
+		t.Errorf("arrivals = %d, want 0", c.Arrivals)
+	}
+}
+
+// TestBatcherAnnouncedArrivalsShareBatch: requests announced before the
+// first of them queues its job all join one batch, which cuts as soon as
+// the last has arrived, long before its linger.
+func TestBatcherAnnouncedArrivalsShareBatch(t *testing.T) {
+	b := newBatcher("t", 64, time.Minute, 128, echoExecCtx)
+	defer b.Close()
+
+	const n = 8
+	arrivals := make([]*arrival, n)
+	for i := range arrivals {
+		b.announce()
+		arrivals[i] = &arrival{b: b, on: true}
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, a := range arrivals {
+		wg.Add(1)
+		go func(i int, a *arrival) {
+			defer wg.Done()
+			resp, err := b.Submit(context.Background(), i, a)
+			if err != nil || resp != fmt.Sprintf("r%d", i) {
+				t.Errorf("job %d: resp=%q err=%v", i, resp, err)
+			}
+		}(i, a)
+	}
+	wg.Wait()
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("batch took %v; it must cut once every announced job has arrived", d)
+	}
+	waitFor(t, func() bool { return b.counters().Batches == 1 })
+	if c := b.counters(); c.Jobs != n || c.IdleCuts != 1 || c.MaxBatch != n || c.Arrivals != 0 {
+		t.Errorf("counters = %+v, want all %d jobs in one idle-cut batch and no arrival left", c, n)
+	}
+}
+
+// TestBatcherArrivalLeavesOnce: an arrival releases its announcement
+// once however many exits call leave, and a nil arrival is a no-op.
+func TestBatcherArrivalLeavesOnce(t *testing.T) {
+	b := newBatcher("t", 4, 0, 4, echoExecCtx)
+	defer b.Close()
+	b.announce()
+	a := &arrival{b: b, on: true}
+	if _, err := b.Submit(context.Background(), 1, a); err != nil {
+		t.Fatal(err)
+	}
+	a.leave()
+	(*arrival)(nil).leave()
+	if got := b.arrivals.Load(); got != 0 {
+		t.Errorf("arrivals = %d after Submit and a second leave, want 0", got)
+	}
+	b.Close()
+	b.announce()
+	a = &arrival{b: b, on: true}
+	if _, err := b.Submit(context.Background(), 2, a); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Close: err = %v, want ErrShuttingDown", err)
+	}
+	if got := b.arrivals.Load(); got != 0 {
+		t.Errorf("arrivals = %d after a refused Submit, want 0", got)
 	}
 }
 
@@ -540,10 +644,10 @@ func TestBatcherLoneSubmitAllocs(t *testing.T) {
 		return resps[:len(reqs)], nil
 	})
 	defer b.Close()
-	b.Submit(context.Background(), 0) // warm the scratch buffers
+	b.Submit(context.Background(), 0, nil) // warm the scratch buffers
 
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := b.Submit(context.Background(), 0); err != nil {
+		if _, err := b.Submit(context.Background(), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -101,7 +101,13 @@ func (c *lruCache) counters() CacheCounters {
 // left, the compute is canceled. A waiter whose ctx is still live when
 // the flight fails with a context error (the starter's deadline ran out)
 // takes the flight over instead of inheriting that error.
-func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
+//
+// a (which may be nil) is the caller's announcement to its batcher. Do
+// releases it wherever the caller will not queue a job of its own: on a
+// hit, when it joins another caller's flight (so that it does not hold
+// open the very batch the flight waits in), or when ctx is already
+// done. Otherwise compute's job takes it over.
+func (c *lruCache) Do(ctx context.Context, key string, a *arrival, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
 	if c == nil {
 		v, err := compute(ctx)
 		return v, false, err
@@ -113,6 +119,7 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Cont
 			c.hits++
 			v := el.Value.(*cacheEntry).val
 			c.mu.Unlock()
+			a.leave()
 			return v, true, nil
 		}
 		f, ok := c.flights[key]
@@ -122,6 +129,7 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Cont
 		c.collapses++
 		f.callers++
 		c.mu.Unlock()
+		a.leave()
 		select {
 		case <-f.done:
 			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
@@ -140,6 +148,7 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Cont
 	if err := ctx.Err(); err != nil {
 		// A caller that is already gone starts no flight.
 		c.mu.Unlock()
+		a.leave()
 		return nil, false, err
 	}
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))

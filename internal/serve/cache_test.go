@@ -15,7 +15,7 @@ func fill(t *testing.T, c *lruCache, keys ...string) {
 	t.Helper()
 	for _, k := range keys {
 		k := k
-		if _, _, err := c.Do(context.Background(), k, func(context.Context) (any, error) { return "val:" + k, nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), k, nil, func(context.Context) (any, error) { return "val:" + k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -24,7 +24,7 @@ func fill(t *testing.T, c *lruCache, keys ...string) {
 // probe runs Do with a compute that fails the test if called.
 func probe(t *testing.T, c *lruCache, key string) (any, bool) {
 	t.Helper()
-	v, hit, err := c.Do(context.Background(), key, func(context.Context) (any, error) {
+	v, hit, err := c.Do(context.Background(), key, nil, func(context.Context) (any, error) {
 		return "recomputed:" + key, nil
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
+			v, hit, err := c.Do(context.Background(), "k", nil, func(context.Context) (any, error) {
 				computes.Add(1)
 				<-gate
 				return "expensive", nil
@@ -185,7 +185,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	wantErr := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
+		_, hit, err := c.Do(context.Background(), "k", nil, func(context.Context) (any, error) {
 			calls++
 			return nil, wantErr
 		})
@@ -206,7 +206,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), "k", func(context.Context) (any, error) {
+		c.Do(context.Background(), "k", nil, func(context.Context) (any, error) {
 			close(started)
 			<-gate
 			return "late", nil
@@ -216,7 +216,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, err := c.Do(ctx, "k", func(context.Context) (any, error) { return "never", nil })
+	_, _, err := c.Do(ctx, "k", nil, func(context.Context) (any, error) { return "never", nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("waiter error = %v, want DeadlineExceeded", err)
 	}
@@ -273,7 +273,7 @@ func TestCacheCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(leaderCtx, "k", compute)
+		_, _, err := c.Do(leaderCtx, "k", nil, compute)
 		leaderErr <- err
 	}()
 	<-started
@@ -285,7 +285,7 @@ func TestCacheCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 	follower := make(chan result, 1)
 	go func() {
-		v, hit, err := c.Do(context.Background(), "k", compute)
+		v, hit, err := c.Do(context.Background(), "k", nil, compute)
 		follower <- result{v, hit, err}
 	}()
 	awaitCollapses(t, c, 1)
@@ -319,7 +319,7 @@ func TestCacheExpiredLeaderHandsOver(t *testing.T) {
 	joined := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(leaderCtx, "k", func(ctx context.Context) (any, error) {
+		_, _, err := c.Do(leaderCtx, "k", nil, func(ctx context.Context) (any, error) {
 			<-joined
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -332,7 +332,7 @@ func TestCacheExpiredLeaderHandsOver(t *testing.T) {
 	var hit bool
 	go func() {
 		var err error
-		got, hit, err = c.Do(context.Background(), "k", func(context.Context) (any, error) { return "follower", nil })
+		got, hit, err = c.Do(context.Background(), "k", nil, func(context.Context) (any, error) { return "follower", nil })
 		follower <- err
 	}()
 	awaitCollapses(t, c, 1)
@@ -364,7 +364,7 @@ func TestCacheLastCallerCancelsFlight(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, _, err := c.Do(ctx, "k", compute)
+			_, _, err := c.Do(ctx, "k", nil, compute)
 			errc <- err
 		}()
 		awaitFlight(t, c)
@@ -385,12 +385,12 @@ func TestCacheLastCallerCancelsFlight(t *testing.T) {
 		defer cancelWaiter()
 		starter, waiter := make(chan error, 1), make(chan error, 1)
 		go func() {
-			_, _, err := c.Do(starterCtx, "k", compute)
+			_, _, err := c.Do(starterCtx, "k", nil, compute)
 			starter <- err
 		}()
 		awaitFlight(t, c)
 		go func() {
-			_, _, err := c.Do(waiterCtx, "k", compute)
+			_, _, err := c.Do(waiterCtx, "k", nil, compute)
 			waiter <- err
 		}()
 		awaitCollapses(t, c, 1)
@@ -423,7 +423,7 @@ func TestCachePanicWakesWaiters(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		c.Do(context.Background(), "k", func(context.Context) (any, error) {
+		c.Do(context.Background(), "k", nil, func(context.Context) (any, error) {
 			<-gate
 			panic("render bug")
 		})
@@ -431,7 +431,7 @@ func TestCachePanicWakesWaiters(t *testing.T) {
 	awaitFlight(t, c)
 	follower := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", func(context.Context) (any, error) { return "never", nil })
+		_, _, err := c.Do(context.Background(), "k", nil, func(context.Context) (any, error) { return "never", nil })
 		follower <- err
 	}()
 	awaitCollapses(t, c, 1)
@@ -450,7 +450,7 @@ func TestCachePanicWakesWaiters(t *testing.T) {
 func TestCacheNilPassthrough(t *testing.T) {
 	var c *lruCache
 	for i := 0; i < 2; i++ {
-		v, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
+		v, hit, err := c.Do(context.Background(), "k", nil, func(context.Context) (any, error) {
 			return fmt.Sprintf("fresh-%d", i), nil
 		})
 		if err != nil || hit || v != fmt.Sprintf("fresh-%d", i) {

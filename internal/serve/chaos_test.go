@@ -132,6 +132,9 @@ func TestChaosTimeoutDoesNotKillCoBatchedJobs(t *testing.T) {
 		CacheSize: -1, RequestTimeout: 5 * time.Second,
 	})
 	slowEngine(t, "huffman", 300*time.Millisecond)
+	// A stalled upload holds the batch open for its linger, so all four
+	// requests share it.
+	stallUpload(t, s, ts, "huffman")
 
 	patient := [][]float64{
 		{5, 2, 9, 1},
@@ -192,6 +195,8 @@ func TestChaosDeadlineExpiresInLinger(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxBatch: 8, Linger: 250 * time.Millisecond, CacheSize: -1,
 	})
+	// A stalled upload holds the batch open for its whole linger.
+	stallUpload(t, s, ts, "huffman")
 	start := time.Now()
 	status, raw := postDeadline(t, ts.Client(), ts.URL+"/v1/huffman",
 		codingRequest{Weights: []float64{4, 2, 1}}, 30)
@@ -222,6 +227,9 @@ func TestChaosAllSubmittersGoneAbortsBatch(t *testing.T) {
 		CacheSize: -1, RequestTimeout: 5 * time.Second,
 	})
 	slowEngine(t, "huffman", 400*time.Millisecond)
+	// A stalled upload holds the batch open for its linger, so both
+	// clients share it.
+	stallUpload(t, s, ts, "huffman")
 
 	var wg sync.WaitGroup
 	statuses := make([]int, 2)
@@ -278,6 +286,8 @@ func TestChaosCanceledClientWithCacheOn(t *testing.T) {
 			s, ts := newTestServer(t, Config{
 				Workers: 2, MaxBatch: 8, Linger: tc.linger, RequestTimeout: 5 * time.Second,
 			})
+			// A stalled upload holds the batch open for its whole linger.
+			stallUpload(t, s, ts, "huffman")
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/huffman",

@@ -28,8 +28,9 @@ func TestE2EHealthzDrain(t *testing.T) {
 		t.Fatalf("pre-drain healthz: status %d", resp.StatusCode)
 	}
 
-	// Launch a request that will sit in the batcher's linger window, then
-	// drain while it is in flight.
+	// Launch a request that will sit in the batcher's linger window, held
+	// open by a stalled upload, then drain while it is in flight.
+	stallUpload(t, s, ts, "huffman")
 	type result struct {
 		status int
 		body   []byte

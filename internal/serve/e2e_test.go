@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"partree"
+	"partree/internal/faultpoint"
 	"partree/internal/shannonfano"
 	"partree/internal/tree"
 	"partree/internal/xmath"
@@ -458,18 +459,29 @@ func TestE2EValidationErrors(t *testing.T) {
 	}
 }
 
-// TestE2ELoadShedding saturates the admission limiter with lingering
-// requests and verifies excess load is shed fast with 429 + Retry-After
-// while /healthz stays responsive, and that the lingering requests still
-// complete.
+// TestE2ELoadShedding saturates the admission limiter with requests
+// parked behind a gated batch and verifies excess load is shed fast with
+// 429 + Retry-After while /healthz stays responsive, and that the parked
+// requests still complete.
 func TestE2ELoadShedding(t *testing.T) {
 	const slots = 4
 	s, ts := newTestServer(t, Config{
-		MaxBatch:       64, // larger than the request count: batches cut on linger only
+		MaxBatch:       64, // larger than the request count: no batch fills
 		Linger:         400 * time.Millisecond,
 		MaxInflight:    slots,
 		RequestTimeout: 5 * time.Second,
 	})
+	// The first batch's run blocks until the gate opens, and every later
+	// request queues behind it, so all of them hold their slots.
+	gate := make(chan struct{})
+	var openGate sync.Once
+	faultpoint.Set("batcher.exec", func(args ...any) {
+		if name, _ := args[0].(string); name == "huffman" {
+			<-gate
+		}
+	})
+	t.Cleanup(faultpoint.Reset)
+	t.Cleanup(func() { openGate.Do(func() { close(gate) }) })
 
 	var wg sync.WaitGroup
 	statuses := make([]int, slots)
@@ -483,8 +495,8 @@ func TestE2ELoadShedding(t *testing.T) {
 			statuses[i] = status
 		}(i)
 	}
-	// Wait until all slots are held (the requests are parked in the
-	// lingering batch).
+	// Wait until all slots are held (the requests are parked behind the
+	// gated batch).
 	deadline := time.Now().Add(2 * time.Second)
 	for len(s.inflight) < slots {
 		if time.Now().After(deadline) {
@@ -509,7 +521,7 @@ func TestE2ELoadShedding(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	// Shedding must be immediate — far inside the request deadline, not
-	// queued behind the lingering batch.
+	// queued behind the parked batch.
 	if shedLatency > time.Second {
 		t.Errorf("shed took %v; must answer within the request deadline", shedLatency)
 	}
@@ -528,7 +540,8 @@ func TestE2ELoadShedding(t *testing.T) {
 		t.Errorf("healthz took %v under saturation", d)
 	}
 
-	wg.Wait() // lingering requests drain normally
+	openGate.Do(func() { close(gate) })
+	wg.Wait() // parked requests drain normally
 	for i, status := range statuses {
 		if status != http.StatusOK {
 			t.Errorf("lingering request %d: status %d", i, status)
@@ -547,6 +560,10 @@ func TestE2EGracefulDrain(t *testing.T) {
 		MaxBatch: 64,
 		Linger:   2 * time.Second, // longer than the test: only a drain can cut
 	})
+	// A stalled upload keeps the batch lingering. It holds an admission
+	// slot too, so Close can finish only once it fails, which it does as
+	// soon as the parked requests have been served.
+	stall := stallUpload(t, s, ts, "huffman")
 	const n = 6
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
@@ -560,14 +577,19 @@ func TestE2EGracefulDrain(t *testing.T) {
 		}(i)
 	}
 	// Wait until all n requests are admitted (holding limiter slots while
-	// parked in the lingering batch), then close.
+	// parked in the lingering batch, beside the stalled upload's), then
+	// close.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(s.inflight) < n {
+	for len(s.inflight) < n+1 {
 		if time.Now().After(deadline) {
 			break // close anyway; Submit-side locking guarantees no loss
 		}
 		time.Sleep(time.Millisecond)
 	}
+	go func() {
+		wg.Wait()
+		stall()
+	}()
 	start := time.Now()
 	s.Close()
 	if d := time.Since(start); d > time.Second {

@@ -117,12 +117,18 @@ type engineEntry interface {
 	canonicalKey(body []byte, lim Limits) (string, error)
 	// start builds the engine's batcher on s and returns it with the
 	// engine's handler.
-	start(s *Server, opts partree.Options) (runner, http.HandlerFunc)
+	start(s *Server, opts partree.Options) (runner, engineHandler)
 }
+
+// engineHandler serves one admitted /v1 request; a is its announcement
+// to the engine's batcher, which the handler releases (see arrival).
+type engineHandler func(w http.ResponseWriter, r *http.Request, a *arrival)
 
 // runner is the untyped face of a batcher.
 type runner interface {
 	counters() BatcherCounters
+	announce()
+	release()
 	Flush()
 	Close()
 }
@@ -150,7 +156,7 @@ func (e *engineSpec[Q, J, R]) canonicalKey(body []byte, lim Limits) (string, err
 	return key, nil
 }
 
-func (e *engineSpec[Q, J, R]) start(s *Server, opts partree.Options) (runner, http.HandlerFunc) {
+func (e *engineSpec[Q, J, R]) start(s *Server, opts partree.Options) (runner, engineHandler) {
 	b := newBatcher(e.name, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxInflight,
 		func(ctx context.Context, jobs []J) ([]R, error) {
 			res, st, err := e.solve(ctx, jobs, opts)
@@ -161,15 +167,16 @@ func (e *engineSpec[Q, J, R]) start(s *Server, opts partree.Options) (runner, ht
 	// client-requested request traces); the observe hook folds those
 	// spans into the /metricsz histograms.
 	b.observe = s.observeTrace
-	return b, func(w http.ResponseWriter, r *http.Request) { e.serve(s, b, w, r) }
+	return b, func(w http.ResponseWriter, r *http.Request, a *arrival) { e.serve(s, b, w, r, a) }
 }
 
 // serve is the one /v1 handler: decode and parse, then look the key up
 // in the result cache, whose miss submits the job to the engine's
 // batcher and renders the result.
-func (e *engineSpec[Q, J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWriter, r *http.Request) {
+func (e *engineSpec[Q, J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWriter, r *http.Request, a *arrival) {
 	job, key, ae := e.decode(r.Body, s.cfg.Limits)
 	if ae != nil {
+		a.leave()
 		s.served[e.name].Errors.Add(1)
 		writeError(w, ae)
 		return
@@ -178,8 +185,8 @@ func (e *engineSpec[Q, J, R]) serve(s *Server, b *batcher[J, R], w http.Response
 	if e.free != nil {
 		defer e.release(&abandoned, job)
 	}
-	val, hit, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (any, error) {
-		res, err := b.Submit(ctx, job)
+	val, hit, err := s.cache.Do(r.Context(), key, a, func(ctx context.Context) (any, error) {
+		res, err := b.Submit(ctx, job, a)
 		abandoned = ctx.Err() != nil
 		if err != nil {
 			return nil, err

@@ -150,11 +150,13 @@ func (c *captureWriter) Write(p []byte) (int, error) {
 
 // serveFastPath answers engine requests whose exact bytes have been seen
 // before from the raw cache, and falls through to next on a miss, storing
-// the rendered response. next receives a replayed body.
-func (s *Server) serveFastPath(engine string, w http.ResponseWriter, r *http.Request, next func(http.ResponseWriter, *http.Request)) {
+// the rendered response. next receives a replayed body. A request the
+// fast path answers releases its announcement a before writing.
+func (s *Server) serveFastPath(engine string, w http.ResponseWriter, r *http.Request, a *arrival, next engineHandler) {
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(io.LimitReader(r.Body, s.cfg.Limits.MaxBodyBytes+1)); err != nil {
+		a.leave()
 		s.served[engine].Errors.Add(1)
 		writeError(w, badRequest("bad_body", "reading request body: %v", err))
 		return
@@ -170,6 +172,7 @@ func (s *Server) serveFastPath(engine string, w http.ResponseWriter, r *http.Req
 	putHasher(h)
 
 	if body := s.fast.get(k); body != nil {
+		a.leave()
 		s.served[engine].OK.Add(1)
 		hd := w.Header()
 		hd.Set("Content-Type", "application/json")
@@ -186,7 +189,7 @@ func (s *Server) serveFastPath(engine string, w http.ResponseWriter, r *http.Req
 	capture := getBodyBuf()
 	defer putBodyBuf(capture)
 	cw := &captureWriter{ResponseWriter: w, buf: capture}
-	next(cw, r)
+	next(cw, r, a)
 	if cw.status == http.StatusOK && !cw.over && cw.buf.Len() > 0 && len(data) <= maxFastPathBody {
 		s.fast.put(k, append([]byte(nil), cw.buf.Bytes()...))
 	}

@@ -337,6 +337,7 @@ func renderMetrics(w io.Writer, v metricsView) {
 		b := snap.Batchers[e]
 		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="drain",engine=%q`, e), float64(b.DrainCuts))
 		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="full",engine=%q`, e), float64(b.FullCuts))
+		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="idle",engine=%q`, e), float64(b.IdleCuts))
 		p.sample("partree_batch_cuts_total", fmt.Sprintf(`cut="linger",engine=%q`, e), float64(b.LingerCuts))
 	}
 	p.header("partree_batch_collect_seconds_total", "Time batches spent open, from their first job to their cut.", "counter")

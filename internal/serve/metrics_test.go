@@ -45,8 +45,8 @@ func goldenView() metricsView {
 			Cache:    CacheCounters{Size: 10, Capacity: 4096, Hits: 50, Misses: 60, Evictions: 2, Collapses: 4},
 			FastPath: CacheCounters{Size: 8, Capacity: 4096, Hits: 30, Misses: 80, Evictions: 1},
 			Batchers: map[string]BatcherCounters{
-				"huffman": {Batches: 20, Jobs: 60, AvgBatch: 3, MaxBatch: 8, FullCuts: 5, LingerCuts: 14, DrainCuts: 1, Expired: 2, Aborted: 1, MaxBatchConf: 64, LingerUS: 200, CollectUS: 4300},
-				"obst":    {Batches: 4, Jobs: 4, AvgBatch: 1, MaxBatch: 1, LingerCuts: 4, MaxBatchConf: 64, LingerUS: 200, CollectUS: 860},
+				"huffman": {Batches: 20, Jobs: 60, AvgBatch: 3, MaxBatch: 8, FullCuts: 5, IdleCuts: 6, LingerCuts: 8, DrainCuts: 1, Expired: 2, Aborted: 1, MaxBatchConf: 64, LingerUS: 200, CollectUS: 4300},
+				"obst":    {Batches: 4, Jobs: 4, AvgBatch: 1, MaxBatch: 1, IdleCuts: 3, LingerCuts: 1, MaxBatchConf: 64, LingerUS: 200, CollectUS: 860},
 			},
 			PRAM: map[string]engineStatsJSON{
 				"huffman": {Steps: 1234, Work: 56789, Steals: 12, SpanMS: 40, BarrierMS: 5, StealWaitMS: 2.5},
@@ -249,6 +249,18 @@ func TestMetricszParseRoundTrip(t *testing.T) {
 	}
 	if got := byName("partree_pool_gets_total", map[string]string{"shard": "1"}); len(got) != 1 || got[0].value != 80 {
 		t.Errorf("pool shard 1 gets: %+v", got)
+	}
+	// Every batch is cut exactly one way: the cut series sum to the
+	// batch count.
+	for engine := range view.Stats.Batchers {
+		var cuts float64
+		for _, s := range byName("partree_batch_cuts_total", map[string]string{"engine": engine}) {
+			cuts += s.value
+		}
+		batches := byName("partree_batches_total", map[string]string{"engine": engine})
+		if len(batches) != 1 || batches[0].value != cuts {
+			t.Errorf("%s: batches %+v, cuts sum to %v", engine, batches, cuts)
+		}
 	}
 
 	// Histogram invariants: buckets cumulative and non-decreasing, +Inf

@@ -41,13 +41,16 @@ type Config struct {
 	Workers int
 	// MaxBatch is the largest number of jobs one machine run executes.
 	MaxBatch int
-	// Linger is how long an open batch waits for company after its first
-	// job before it is cut. 0 dispatches immediately with whatever has
+	// Linger is the longest an open batch waits, after its first job, for
+	// company that has already been admitted: requests for the same
+	// engine that are still reading, parsing or looking up their body. A
+	// batch with no such request left is cut at once, so a lone request
+	// does not wait at all. 0 dispatches immediately with whatever has
 	// already queued. It is honoured to within tens of µs: Go's timers
 	// fire about 1.07 ms late below a millisecond on an idle process, so
-	// the last sub-millisecond stretch of the wait polls the queue and
-	// yields the CPU instead, spending up to Linger (at most 1 ms) of CPU
-	// per open batch.
+	// the last sub-millisecond stretch of a wait polls the queue and
+	// yields the CPU instead, which costs CPU only while an admitted
+	// request is still on its way.
 	Linger time.Duration
 	// CacheSize is the result cache capacity in entries; 0 means the
 	// default (4096), negative disables caching entirely.
@@ -212,7 +215,7 @@ func New(cfg Config) *Server {
 		s.engineStats[name] = &accumulatedStats{phases: make(map[string]partree.PhaseStats)}
 		b, h := e.start(s, opts)
 		s.batchers[name] = b
-		s.mux.Handle(path, s.v1(name, h))
+		s.mux.Handle(path, s.v1(name, b, h))
 	}
 	return s
 }
@@ -306,6 +309,11 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 // installed inside the fast path's miss continuation so cache hits — which
 // do no blocking work — skip the context machinery entirely.
 //
+// An admitted request announces itself to its engine's batcher b at
+// once, before it reads its body, so that a batch open meanwhile waits
+// for it (see arrival); the handler chain releases the announcement, and
+// v1 releases whatever is left when the handler returns or panics.
+//
 // A client may tighten (never extend) its own deadline with an
 // X-Partree-Deadline-Ms header; values above the configured
 // RequestTimeout are clamped to it.
@@ -314,8 +322,8 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 // its context (armed through the batcher into the PRAM run) and bypasses
 // the raw-body fast path: traced responses carry per-request span
 // timings, so a byte-identical replay would be a lie.
-func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
-	withDeadline := func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) v1(engine string, b runner, h engineHandler) http.Handler {
+	withDeadline := func(w http.ResponseWriter, r *http.Request, a *arrival) {
 		timeout := s.cfg.RequestTimeout
 		if hdr := r.Header.Get(deadlineHeader); hdr != "" {
 			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
@@ -332,7 +340,7 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 			w.Header().Set(traceIDHeader, tr.ID())
 			ctx = trace.NewContext(ctx, tr)
 		}
-		h(w, r.WithContext(ctx))
+		h(w, r.WithContext(ctx), a)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -349,13 +357,57 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 			writeError(w, &apiError{Status: http.StatusTooManyRequests, Code: "overloaded", Message: "admission queue full; retry"})
 			return
 		}
+		a := arrivalPool.Get().(*arrival)
+		a.b, a.on = b, true
+		b.announce()
+		defer func() {
+			a.leave()
+			arrivalPool.Put(a)
+		}()
 		if s.fast != nil && pool.Enabled() && r.Header.Get(traceHeader) != "1" {
-			s.serveFastPath(engine, w, r, withDeadline)
+			s.serveFastPath(engine, w, r, a, withDeadline)
 			return
 		}
-		withDeadline(w, r)
+		withDeadline(w, r, a)
 	})
 }
+
+// arrival is one admitted request's announcement to its engine's
+// batcher, which counts it as company an open batch can still expect.
+// It ends once, at the first point where the request knows it will not
+// queue a job (leave): a fast-path hit or a bad body, a result-cache
+// hit, joining another caller's flight, a context done or a shutdown
+// before the job is queued, and at the latest when v1's handler returns.
+// A job that is queued takes the announcement with it (take), and the
+// collector ends it on receipt. Only the request's own goroutine touches
+// an arrival (a flight's compute runs on its starter's goroutine), so
+// the flag needs no synchronization. A nil *arrival announced nothing.
+type arrival struct {
+	b  runner
+	on bool
+}
+
+// take hands the announcement over to the caller, who then owns its
+// release, and reports whether there was one to hand over.
+func (a *arrival) take() bool {
+	if a == nil || !a.on {
+		return false
+	}
+	a.on = false
+	return true
+}
+
+func (a *arrival) leave() {
+	if a.take() {
+		a.b.release()
+	}
+}
+
+// arrivalPool recycles the per-request arrival records: the handler chain
+// passes them through function values, so they live on the heap, and
+// reuse keeps the announcement free of allocations. A record returns to
+// the pool only when its request's handler has returned.
+var arrivalPool = sync.Pool{New: func() any { return new(arrival) }}
 
 // --- response plumbing ---
 

@@ -135,7 +135,10 @@ func TestTracedRequestEnvelope(t *testing.T) {
 // TestTracedRequestsShareBatchSpans: co-batched traced requests each get
 // the shared batch run's spans, rebased onto their own timeline.
 func TestTracedRequestsShareBatchSpans(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 8, Linger: 50 * time.Millisecond, CacheSize: -1})
+	s, ts := newTestServer(t, Config{MaxBatch: 8, Linger: 50 * time.Millisecond, CacheSize: -1})
+	// A stalled upload holds each batch open for its linger, so the three
+	// requests can share one.
+	stallUpload(t, s, ts, "huffman")
 	jobs := [][]float64{
 		{5, 2, 9, 1},
 		{3, 3, 1, 7, 6},
@@ -247,6 +250,12 @@ func TestStatszConsistentUnderTraffic(t *testing.T) {
 			if c.Timeouts+c.Canceled > c.Errors {
 				t.Fatalf("%s: inconsistent snapshot: timeouts %d + canceled %d > errors %d",
 					engine, c.Timeouts, c.Canceled, c.Errors)
+			}
+		}
+		for engine, b := range snap.Batchers {
+			if cuts := b.FullCuts + b.IdleCuts + b.LingerCuts + b.DrainCuts; cuts != b.Batches {
+				t.Fatalf("%s: inconsistent snapshot: %d batches but %d full + %d idle + %d linger + %d drain cuts",
+					engine, b.Batches, b.FullCuts, b.IdleCuts, b.LingerCuts, b.DrainCuts)
 			}
 		}
 		// Scrape the Prometheus view too: same counters, same invariant
